@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from math import gcd
 
@@ -348,31 +347,18 @@ def _cmd_height1(args) -> int:
         sets = period_sets(params)
     except ValueError:
         sets = None  # one-row check failed; the level sets are undefined
-    witness = None
-    if verdict.witness is not None:
-        witness = {
-            "mu": format_partition(verdict.witness.mu),
-            "p": verdict.witness.p,
-            "lambda": format_partition(verdict.witness.lam),
-        }
-    if sets is None:
-        payload = {
-            "P": None, "A0": None, "A1": None, "Y": None,
-            "sumset_missing": None,
-            "verdict": verdict.status,
-            "witness": witness,
-        }
-    else:
+    witness = None if verdict.witness is None else verdict.witness.to_json_dict()
+    payload = dict.fromkeys(("P", "A0", "A1", "Y", "sumset_missing"))
+    if sets is not None:
         report = sumset(sets.A0, sets.A0, sets.P)
-        payload = {
-            "P": sets.P,
-            "A0": sorted(sets.A0),
-            "A1": sorted(sets.A1),
-            "Y": sorted(sets.Y),
-            "sumset_missing": sorted(set(range(sets.P)) - report.sumset),
-            "verdict": verdict.status,
-            "witness": witness,
-        }
+        payload.update(
+            P=sets.P,
+            A0=sorted(sets.A0),
+            A1=sorted(sets.A1),
+            Y=sorted(sets.Y),
+            sumset_missing=sorted(set(range(sets.P)) - report.sumset),
+        )
+    payload.update(verdict=verdict.status, witness=witness)
     if args.json:
         _emit(payload)
     else:
@@ -438,11 +424,7 @@ def _cmd_bober_scan(args) -> int:
                 verdict = decide_height1(image)
                 entry["status"] = verdict.status
                 if verdict.witness is not None:
-                    entry["witness"] = {
-                        "mu": format_partition(verdict.witness.mu),
-                        "p": verdict.witness.p,
-                        "lambda": format_partition(verdict.witness.lam),
-                    }
+                    entry["witness"] = verdict.witness.to_json_dict()
                 instances.append(entry)
     if args.json:
         _emit({"bound": args.bound, "instances": instances})
@@ -465,7 +447,7 @@ def _add_params_options(sub) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="hookratio", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hookratio {__version__}")
-    parser.add_argument("--seed", type=int, help="seed for randomized extensions")
+    parser.add_argument("--seed", type=int, help="ignored; every verb is deterministic")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, handler, help_text):
@@ -541,8 +523,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -5,15 +5,16 @@ inequality) over the cyclic group of the period.
 At height 1 with the one-row check passing, f only takes the values 0 and
 1 over its period P. The level sets A0 and A1 each fill half the period,
 and the drop set Y collects the residues where f steps from 1 down to 0.
-A hook shape witness (arm a, leg l) exists exactly when f(a) = f(l) = 0,
-f(a+l) = 1 and f(a+l+1) = 0, i.e. when a + l lands in Y and splits over
-A0 + A0; the sumset covers all but at most one residue, so the scan can
-only come up empty for the single exceptional parameter shape
-((x), (2x, 2x)). Any other empty scan would contradict the classification
-and raises a diagnostic instead of returning a verdict.
+A hook shape (arm a, leg l) has negative signature exactly when
+f(a) = f(l) = 0, f(a+l) = 1 and f(a+l+1) = 0, i.e. when a + l lands in Y
+and splits over A0 + A0; the sumset covers all but at most one residue, so
+the scan can only come up empty for the single exceptional parameter
+shape ((x), (2x, 2x)). Any other empty scan would contradict the
+classification and raises a diagnostic instead of returning a verdict.
 
-The decision itself is the exhaustive (a, l) scan; the sumset machinery is
-kept as an independently testable sanity layer, never as a shortcut.
+The decision itself is the hook shape scan that the general decision
+procedure runs over the period grid; the sumset machinery is kept as an
+independently testable sanity layer, never as a shortcut.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ from typing import Iterable
 from .integral import (
     STATUS_INTEGRAL,
     Verdict,
+    _hook_shape_scan,
     _verified_fails,
     counts_signature,
 )
 from .partition import Partition, construct_hook_partition
-from .ratio import RatioParams, build_ftable
+from .ratio import InvariantError, RatioParams, build_ftable
 
 
-class Height1ContradictionError(RuntimeError):
-    """No witness and not the canonical exception: impossible at height 1."""
+class Height1ContradictionError(InvariantError):
+    """A result the height 1 classification rules out, such as an empty
+    witness scan for parameters other than the canonical exception."""
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,11 @@ def period_sets(params: RatioParams) -> PeriodSets:
     Y = frozenset(
         y for y in range(P) if vals[y] == 1 and vals[(y + 1) % P] == 0
     )
-    assert A0 | A1 == frozenset(range(P))
-    assert len(A0) == len(A1) == P // 2 and P % 2 == 0
-    assert P - 1 in Y
+    # A0 and A1 are disjoint, so two halves of the period also cover it
+    if not len(A0) * 2 == len(A1) * 2 == P or P - 1 not in Y:
+        raise Height1ContradictionError(
+            f"level sets of {params} break the height 1 classification"
+        )
     return PeriodSets(P, A0, A1, Y)
 
 
@@ -145,22 +150,13 @@ def is_canonical_exception(params: RatioParams) -> bool:
 
 
 def find_hook_witness(params: RatioParams) -> tuple[int, int] | None:
-    """First (arm, leg) with f(a) = f(l) = 0, f(a+l) = 1, f(a+l+1) = 0,
-    ordered by (a + l, a); None when no solution exists over the period
-    grid. f is evaluated at the true integers a + l and a + l + 1."""
+    """First (arm, leg), ordered by (a + l, a), whose hook shape has
+    negative signature; None when no solution exists over the period grid.
+    With the one-row check passing, these are exactly the solutions of
+    f(a) = f(l) = 0, f(a+l) = 1, f(a+l+1) = 0, with f evaluated at the
+    true integers a + l and a + l + 1."""
     _require_height1(params)
-    table = build_ftable(params)
-    P = table.period
-    for s in range(0, 2 * P - 1):
-        for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
-            if (
-                table.f(a) == 0
-                and table.f(s - a) == 0
-                and table.f(s) == 1
-                and table.f(s + 1) == 0
-            ):
-                return (a, s - a)
-    return None
+    return _hook_shape_scan(params)
 
 
 def decide_height1(params: RatioParams) -> Verdict:
@@ -180,7 +176,10 @@ def decide_height1(params: RatioParams) -> Verdict:
     found = find_hook_witness(params)
     if found is not None:
         mu = construct_hook_partition(*found)
-        assert counts_signature(mu, params) == -1
+        if counts_signature(mu, params) != -1:
+            raise Height1ContradictionError(
+                f"hook witness {found} of {params} has signature other than -1"
+            )
         return _verified_fails(params, mu, None)
     if is_canonical_exception(params):
         return Verdict(params, STATUS_INTEGRAL)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .littlewood import compose, hook_count_divisible, iter_tower_levels
 from .partition import (
@@ -32,7 +32,7 @@ from .partition import (
     hook_multiset,
 )
 from .primes import factorize, is_prime, next_prime_above
-from .ratio import RatioParams, build_ftable
+from .ratio import InvariantError, RatioParams, build_ftable
 
 STATUS_INTEGRAL = "Integral-Certified"
 STATUS_FAILS = "Fails"
@@ -110,16 +110,26 @@ class FactoredRatio:
         }
 
 
+def _signed_quotients(
+    hooks: Mapping[int, int], gammas: Sequence[int], deltas: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(signed multiplicity, h // divisor) for each hook h divisible by a
+    parameter, positive for gammas and negative for deltas. The divisor
+    loop is outside because that order is fastest for counts_signature."""
+    for divisors, sign in ((gammas, 1), (deltas, -1)):
+        for divisor in divisors:
+            for h, count in hooks.items():
+                if h % divisor == 0:
+                    yield sign * count, h // divisor
+
+
 def _vector_ratio_exponents(
     lam: Partition, gammas: Sequence[int], deltas: Sequence[int]
 ) -> dict[int, int]:
     exps: dict[int, int] = {}
-    hooks = hook_multiset(lam)
-    for divisor, sign in [(g, 1) for g in gammas] + [(d, -1) for d in deltas]:
-        for h, count in hooks.items():
-            if h % divisor == 0:
-                for p, e in factorize(h // divisor):
-                    exps[p] = exps.get(p, 0) + sign * count * e
+    for mult, q in _signed_quotients(hook_multiset(lam), gammas, deltas):
+        for p, e in factorize(q):
+            exps[p] = exps.get(p, 0) + mult * e
     return exps
 
 
@@ -132,13 +142,10 @@ def counts_signature(mu: Partition, params: RatioParams) -> int:
     """Signed hook count sum: total hooks divisible by some gamma minus
     total hooks divisible by some delta (with multiplicity on both sides).
     """
-    sig = 0
-    for h, count in hook_multiset(mu).items():
-        sig += count * (
-            sum(1 for g in params.gammas if h % g == 0)
-            - sum(1 for d in params.deltas if h % d == 0)
-        )
-    return sig
+    return sum(
+        mult for mult, _ in
+        _signed_quotients(hook_multiset(mu), params.gammas, params.deltas)
+    )
 
 
 def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
@@ -148,15 +155,10 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     total = 0
-    for h, count in hook_multiset(lam).items():
-        for divisor, sign in [(g, 1) for g in params.gammas] + [
-            (d, -1) for d in params.deltas
-        ]:
-            if h % divisor == 0:
-                q = h // divisor
-                while q % p == 0:
-                    total += sign * count
-                    q //= p
+    for mult, q in _signed_quotients(hook_multiset(lam), params.gammas, params.deltas):
+        while q % p == 0:
+            total += mult
+            q //= p
     return total
 
 
@@ -195,31 +197,15 @@ def _scan_level_chunk(args) -> tuple[int, ...] | None:
     return best
 
 
-def find_failing_mu(
-    params: RatioParams,
-    size_bound: int,
-    hooks_only: bool = False,
-    workers: int = 1,
+def _enumerate_failing_mu(
+    params: RatioParams, size_bound: int, workers: int
 ) -> Partition | None:
-    """Search for a partition with negative counts signature.
-
-    With hooks_only, only hook shapes are scanned through the period table
-    (no size restriction; this is a complete decision at height 1 and a
-    heuristic otherwise) and balance is required. The full search tries
-    hook shapes within the bound first, then enumerates every partition of
-    each size up to the bound, returning the lexicographically least
-    witness of the smallest failing size. The result is independent of the
-    worker count.
-    """
+    """Lexicographically least partition with negative counts signature
+    among those of the smallest failing size up to the bound, found by
+    enumerating every partition of each size; independent of the worker
+    count."""
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
-    if hooks_only:
-        found = _hook_shape_scan(params)
-        return construct_hook_partition(*found) if found else None
-    if params.is_balanced:
-        found = _hook_shape_scan(params, max_size=size_bound)
-        if found:
-            return construct_hook_partition(*found)
     pool = None
     try:
         for n in range(size_bound + 1):
@@ -245,6 +231,34 @@ def find_failing_mu(
         if pool is not None:
             pool.shutdown()
     return None
+
+
+def find_failing_mu(
+    params: RatioParams,
+    size_bound: int,
+    hooks_only: bool = False,
+    workers: int = 1,
+) -> Partition | None:
+    """Search for a partition with negative counts signature.
+
+    With hooks_only, only hook shapes are scanned through the period table
+    (no size restriction; this is a complete decision at height 1 and a
+    heuristic otherwise) and balance is required. The full search tries
+    hook shapes within the bound first, then enumerates every partition of
+    each size up to the bound, returning the lexicographically least
+    witness of the smallest failing size. The result is independent of the
+    worker count.
+    """
+    if size_bound < 0:
+        raise ValueError("size bound must be nonnegative")
+    if hooks_only:
+        found = _hook_shape_scan(params)
+        return construct_hook_partition(*found) if found else None
+    if params.is_balanced:
+        found = _hook_shape_scan(params, max_size=size_bound)
+        if found:
+            return construct_hook_partition(*found)
+    return _enumerate_failing_mu(params, size_bound, workers)
 
 
 def construct_failing_lambda(
@@ -330,6 +344,13 @@ class Witness:
     p: int
     lam: Partition
 
+    def to_json_dict(self) -> dict:
+        return {
+            "mu": format_partition(self.mu),
+            "p": self.p,
+            "lambda": format_partition(self.lam),
+        }
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -344,18 +365,11 @@ class Verdict:
         return EXIT_CODES[self.status]
 
     def to_json_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "mu": format_partition(self.witness.mu),
-                "p": self.witness.p,
-                "lambda": format_partition(self.witness.lam),
-            }
         return {
             "status": self.status,
             "gamma": list(self.params.gammas),
             "delta": list(self.params.deltas),
-            "witness": witness,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
             "bound": self.bound,
             "valuation_at_p": self.valuation_at_p,
         }
@@ -372,7 +386,11 @@ def _certified_by_theorem(params: RatioParams) -> bool:
 def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Verdict:
     p, lam = construct_failing_lambda(mu, params)
     vp = ratio_valuation(lam, params, p)
-    assert vp == p * counts_signature(mu, params) and vp < 0
+    expected = p * counts_signature(mu, params)
+    if vp != expected or vp >= 0:
+        raise InvariantError(
+            f"witness {mu!r} at p = {p} has valuation {vp}, expected {expected} < 0"
+        )
     return Verdict(params, STATUS_FAILS, Witness(mu, p, lam), bound, vp)
 
 
@@ -389,9 +407,12 @@ def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
         raise ValueError(f"parameters {params} are not balanced")
     if _certified_by_theorem(params):
         return Verdict(params, STATUS_INTEGRAL, bound=size_bound)
-    mu = find_failing_mu(params, 0, hooks_only=True)
-    if mu is None:
-        mu = find_failing_mu(params, size_bound, workers=workers)
+    # the bounded scan inside find_failing_mu is a subset of this one
+    found = _hook_shape_scan(params)
+    if found is not None:
+        mu = construct_hook_partition(*found)
+    else:
+        mu = _enumerate_failing_mu(params, size_bound, workers)
     if mu is not None:
         return _verified_fails(params, mu, size_bound)
     return Verdict(params, STATUS_UNKNOWN, bound=size_bound)

@@ -16,7 +16,6 @@ many labels are empty.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -110,30 +109,11 @@ def compose(core: Partition, quotients: Sequence[Partition], p: int) -> Partitio
     return from_boundary(_interleave(seqs, p))
 
 
-def p_core(lam: Partition, p: int, rng: random.Random | None = None) -> Partition:
-    """The p-core, computed by repeatedly removing hooks of length p.
-
-    A removable p-hook is a pair of entries (1 at i, 0 at i + p) in the
-    boundary sequence; removing it swaps the pair. The result does not
-    depend on the removal order. Pass an rng to randomize the order (used to
-    exercise the order independence).
-    """
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    b = to_boundary(lam)
-    margin = lam.size + p
-    bits = [0] * margin + list(b.window)
-    offset = b.offset - margin
-    while True:
-        swaps = [
-            i for i in range(len(bits) - p)
-            if bits[i] == 1 and bits[i + p] == 0
-        ]
-        if not swaps:
-            break
-        i = rng.choice(swaps) if rng is not None else swaps[0]
-        bits[i], bits[i + p] = 0, 1
-    return from_boundary(BoundarySequence(bits, offset))
+def p_core(lam: Partition, p: int) -> Partition:
+    """The p-core: what is left after removing hooks of length p until
+    none remains, in any order. It is read off the decomposition, where
+    each residue class is pushed down to the vacuum of its charge."""
+    return decompose(lam, p).core
 
 
 def is_p_core(lam: Partition, p: int) -> bool:
@@ -198,30 +178,34 @@ class CoreTower(_Tower):
     """Labels: the p-core of the corresponding quotient tower label."""
 
 
-def _expand(lam: Partition, p: int) -> dict[Word, Partition]:
+def _expand(
+    lam: Partition, p: int
+) -> tuple[dict[Word, Partition], dict[Word, Partition]]:
+    """Quotient tower labels and the p-core of each nonempty label, from
+    one decomposition per label."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
     labels: dict[Word, Partition] = {(): lam}
+    cores: dict[Word, Partition] = {}
     frontier: list[Word] = [()] if lam else []
     while frontier:
         word = frontier.pop()
-        for j, q in enumerate(decompose(labels[word], p).quotients):
+        dec = decompose(labels[word], p)
+        cores[word] = dec.core
+        for j, q in enumerate(dec.quotients):
             if q:
                 child = word + (j,)
                 labels[child] = q
                 frontier.append(child)
-    return labels
+    return labels, cores
 
 
 def quotient_tower(lam: Partition, p: int) -> QuotientTower:
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    return QuotientTower(p, _expand(lam, p))
+    return QuotientTower(p, _expand(lam, p)[0])
 
 
 def core_tower(lam: Partition, p: int) -> CoreTower:
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    cores = {w: p_core(lab, p) for w, lab in _expand(lam, p).items()}
-    return CoreTower(p, cores)
+    return CoreTower(p, _expand(lam, p)[1])
 
 
 def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:

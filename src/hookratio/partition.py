@@ -196,7 +196,12 @@ def max_enumeration_size() -> int:
     raw = os.environ.get(MAX_SIZE_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_ENUMERATION_SIZE
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{MAX_SIZE_ENV_VAR} must be an integer, got {raw!r}"
+        ) from None
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

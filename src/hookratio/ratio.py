@@ -18,6 +18,11 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
+class InvariantError(RuntimeError):
+    """An identity that holds for every valid input came out false: the
+    computation is wrong, not the input. Unlike assert, never stripped."""
+
+
 @dataclass(frozen=True)
 class RatioParams:
     """The (gammas, deltas) pair defining a hook product ratio.
@@ -136,7 +141,7 @@ def build_ftable(params: RatioParams) -> FTable:
 
     Raises for unbalanced parameters, where f is unbounded and has no
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
-    case f(P-1) = L - K hold for every balanced pair and are asserted here.
+    case f(P-1) = L - K hold for every balanced pair and are checked here.
     """
     if not params.is_balanced:
         raise ValueError(
@@ -150,8 +155,10 @@ def build_ftable(params: RatioParams) -> FTable:
             period = P
             break
     height = params.height
-    assert all(values[x] + values[M - 1 - x] == height for x in range(M))
-    assert values[period - 1] == height
+    if not all(values[x] + values[M - 1 - x] == height for x in range(M)):
+        raise InvariantError(f"reflection identity fails for {params}")
+    if values[period - 1] != height:
+        raise InvariantError(f"f(P - 1) != L - K for {params}")
     return FTable(params, M, values, period)
 
 

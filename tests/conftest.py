@@ -75,6 +75,30 @@ def boundary_hook_pairs(b):
     return pairs
 
 
+def oracle_p_core(lam, p, rng=None):
+    """The p-core by removing hooks of length p one at a time: a removable
+    p-hook is a pair of entries (1 at i, 0 at i + p) in the boundary
+    sequence, and removing it swaps the pair. The first removable hook goes
+    first, or a random one when an rng is given (the result must not
+    depend on the order)."""
+    from hookratio import BoundarySequence, from_boundary, to_boundary
+
+    b = to_boundary(lam)
+    margin = lam.size + p
+    bits = [0] * margin + list(b.window)
+    offset = b.offset - margin
+    while True:
+        swaps = [
+            i for i in range(len(bits) - p)
+            if bits[i] == 1 and bits[i + p] == 0
+        ]
+        if not swaps:
+            break
+        i = rng.choice(swaps) if rng is not None else swaps[0]
+        bits[i], bits[i + p] = 0, 1
+    return from_boundary(BoundarySequence(bits, offset))
+
+
 def exact_ratio_value(lam, gammas, deltas):
     """The ratio as an exact Fraction of restricted hook products."""
     from hookratio import restricted_hooks

@@ -342,3 +342,12 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "hookratio" in proc.stdout
+
+
+def test_malformed_max_size_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HOOKRATIO_MAX_SIZE", "abc")
+    code, _, err = invoke(
+        capsys, "check", "--gamma", "1,1", "--delta", "2,2,2,2", "--bound", "4"
+    )
+    assert code == 64
+    assert "HOOKRATIO_MAX_SIZE" in err and "'abc'" in err

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -361,3 +363,34 @@ class TestDecide:
             "bound", "delta", "gamma", "status", "valuation_at_p", "witness",
         ]
         assert sorted(payload["witness"]) == ["lambda", "mu", "p"]
+
+    def test_unknown_scans_hook_shapes_once(self, monkeypatch):
+        calls = []
+        scan = integral_module._hook_shape_scan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(integral_module, "_hook_shape_scan", counted)
+        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 8)
+        assert verdict.status == STATUS_UNKNOWN
+        assert len(calls) == 1
+
+    def test_reverification_survives_optimize_flag(self):
+        # a witness whose valuation does not re-verify must raise even
+        # when the interpreter strips assert statements
+        script = (
+            "import hookratio\n"
+            "hookratio.integral.ratio_valuation = lambda lam, params, p: 0\n"
+            "try:\n"
+            "    hookratio.decide(hookratio.RatioParams((1, 30), (2, 3, 5)), 10)\n"
+            "except hookratio.InvariantError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised")
