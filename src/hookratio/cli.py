@@ -28,6 +28,7 @@ from .integral import (
     extract_failing_mu,
     find_failing_mu,
     ratio_factored,
+    ratio_valuation,
 )
 from .littlewood import (
     compose,
@@ -299,7 +300,7 @@ def _cmd_construct_lambda(args) -> int:
     mu = _partition_arg(args.mu)
     params = _params_arg(args)
     p, lam = construct_failing_lambda(mu, params)
-    vp = ratio_factored(lam, params).exponent(p)
+    vp = ratio_valuation(lam, params, p)
     if args.json:
         _emit(
             {

@@ -18,12 +18,17 @@ signatures over all quotient tower labels at depth >= 1.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .littlewood import compose, hook_count_divisible, iter_tower_levels
+from .littlewood import (
+    compose,
+    divisible_hook_counts,
+    hook_count_divisible,
+    iter_tower_levels,
+    largest_hook,
+)
 from .partition import (
     Partition,
     construct_hook_partition,
@@ -149,17 +154,30 @@ def counts_signature(mu: Partition, params: RatioParams) -> int:
 
 
 def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
-    """Exponent of the prime p in the ratio, without factoring anything
-    else: each hook h divisible by a parameter contributes the p-adic
-    valuation of the quotient h over that parameter."""
+    """Exponent of the prime p in the ratio, without listing any hook.
+
+    A hook h divisible by a parameter r contributes v_p(h / r), which is
+    the number of k >= 1 with r * p**k dividing h. Summed over the hooks,
+    the contribution of r is sum_{k >= 1} N_{r * p**k}(lam), where N_m
+    counts the hooks divisible by m; the terms stop once r * p**k exceeds
+    the largest hook, lam_1 + len(lam) - 1. Each N_m is read off the bead
+    positions of lam in O(len(lam) log len(lam)), so the cost does not grow
+    with |lam|. The count comes straight from the profile of lam and never
+    decomposes it, so it re-checks a witness independently of the tower
+    identity that built the witness.
+    """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    total = 0
-    for mult, q in _signed_quotients(hook_multiset(lam), params.gammas, params.deltas):
-        while q % p == 0:
-            total += mult
-            q //= p
-    return total
+    top = largest_hook(lam)
+    terms: list[tuple[int, int]] = []
+    for divisors, sign in ((params.gammas, 1), (params.deltas, -1)):
+        for r in divisors:
+            m = r * p
+            while m <= top:
+                terms.append((sign, m))
+                m *= p
+    counts = divisible_hook_counts(lam, (m for _, m in terms))
+    return sum(sign * counts[m] for sign, m in terms)
 
 
 def _hook_shape_scan(
@@ -197,6 +215,12 @@ def _scan_level_chunk(args) -> tuple[int, ...] | None:
     return best
 
 
+def _pool_size(workers: int, cpus: int | None, chunks: int) -> int:
+    """Worker processes to start: no more than requested, than the machine
+    has CPUs (one when unknown), or than there are chunks to scan."""
+    return min(workers, cpus or 1, chunks)
+
+
 def _enumerate_failing_mu(
     params: RatioParams, size_bound: int, workers: int
 ) -> Partition | None:
@@ -211,10 +235,15 @@ def _enumerate_failing_mu(
         for n in range(size_bound + 1):
             level = [lam.parts for lam in enumerate_partitions(n)]
             if workers > 1 and len(level) >= PARALLEL_MIN_LEVEL:
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
                 step = -(-len(level) // workers)
                 chunks = [level[i:i + step] for i in range(0, len(level), step)]
+                if pool is None:
+                    import concurrent.futures
+                    import os
+
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=_pool_size(workers, os.cpu_count(), len(chunks))
+                    )
                 hits = [
                     h for h in pool.map(
                         _scan_level_chunk,
@@ -277,7 +306,7 @@ def construct_failing_lambda(
         raise ValueError(
             f"counts signature of {mu!r} is {sig}; a negative signature is required"
         )
-    p = next_prime_above(max(hook_multiset(mu)))
+    p = next_prime_above(largest_hook(mu))
     lam = compose(Partition(), [mu] * p, p)
     return p, lam
 
@@ -291,9 +320,7 @@ def extract_failing_mu(lam: Partition, params: RatioParams, p: int) -> Partition
     guarantees a negative label. Labels are scanned by depth, then by the
     lexicographic order of their words.
     """
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
-    vp = ratio_factored(lam, params).exponent(p)
+    vp = ratio_valuation(lam, params, p)
     if vp >= 0:
         raise ValueError(
             f"ratio at {lam!r} has exponent {vp} at {p}; nothing to extract"

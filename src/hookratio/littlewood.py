@@ -17,14 +17,13 @@ many labels are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partition import (
+    EMPTY,
     BoundarySequence,
     Partition,
     format_partition,
-    from_boundary,
-    hook_multiset,
     to_boundary,
 )
 from .primes import is_prime
@@ -56,18 +55,23 @@ def _residue_subsequence(b: BoundarySequence, p: int, j: int) -> BoundarySequenc
     )
 
 
-def _interleave(seqs: Sequence[BoundarySequence], p: int) -> BoundarySequence:
-    span = p * (max(abs(s.offset) + len(s.window) for s in seqs) + 2)
-    bits = []
-    for idx in range(-span, span + 1):
-        j = idx % p
-        bits.append(seqs[j].value((idx - j) // p))
-    return BoundarySequence(bits, -span)
+def _assemble(
+    quotients: Sequence[Partition], charges: Sequence[int], p: int
+) -> Partition:
+    """The partition carrying quotient j at charge c_j on runner j.
 
-
-def _vacuum(charge: int) -> BoundarySequence:
-    """The empty-shape sequence whose charge is the given integer."""
-    return BoundarySequence((), charge)
+    Bead i of quotient j sits at global position p * (q_ji - i + c_j) + j.
+    Every runner is filled down to the common floor below which all runners
+    are full; the n beads above it, sorted descending as x_1 > ... > x_n,
+    give the parts lam_k = x_k + k.
+    """
+    floor = min(c - len(q) for q, c in zip(quotients, charges))
+    beads: list[int] = []
+    for j, (q, c) in enumerate(zip(quotients, charges)):
+        beads.extend(p * (part - i + c) + j for i, part in enumerate(q.parts, 1))
+        beads.extend(range(p * (c - len(q) - 1) + j, p * floor - 1, -p))
+    beads.sort(reverse=True)
+    return Partition(x + k for k, x in enumerate(beads, 1) if x + k > 0)
 
 
 def decompose(lam: Partition, p: int) -> LittlewoodDecomposition:
@@ -84,7 +88,7 @@ def decompose(lam: Partition, p: int) -> LittlewoodDecomposition:
     subs = [_residue_subsequence(b, p, j) for j in range(p)]
     quotients = tuple(s.to_partition() for s in subs)
     charges = tuple(s.charge() for s in subs)
-    core = from_boundary(_interleave([_vacuum(c) for c in charges], p))
+    core = _assemble([EMPTY] * p, charges, p)
     return LittlewoodDecomposition(p, core, quotients, charges)
 
 
@@ -92,21 +96,23 @@ def compose(core: Partition, quotients: Sequence[Partition], p: int) -> Partitio
     """Inverse of decompose: the unique partition with this core and these
     quotients.
 
-    The core fixes the charge of each residue class; each quotient's centered
-    sequence is shifted to that charge and the p subsequences are
-    interleaved back together.
+    The core fixes the charge c_j of each residue class (a core is exactly
+    a partition whose quotients are all empty). Quotient j goes on runner
+    j: its bead i, at q_ji - i in its own centered sequence, lands at
+    global position p * (q_ji - i + c_j) + j. The runners are filled down
+    to a common floor and the parts are read back from the sorted
+    positions, so the cost is one sort of about p * max(len(q_j) - c_j)
+    beads, never a walk over the cells or the boundary of the result.
     """
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     quotients = tuple(quotients)
     if len(quotients) != p:
         raise ValueError(f"expected {p} quotients, got {len(quotients)}")
-    if not is_p_core(core, p):
+    dec = decompose(core, p)
+    if any(dec.quotients):
         raise ValueError(f"{core!r} is not a {p}-core")
-    b = to_boundary(core)
-    charges = [_residue_subsequence(b, p, j).charge() for j in range(p)]
-    seqs = [to_boundary(q).shifted(c) for q, c in zip(quotients, charges)]
-    return from_boundary(_interleave(seqs, p))
+    return _assemble(quotients, dec.charges, p)
 
 
 def p_core(lam: Partition, p: int) -> Partition:
@@ -226,11 +232,52 @@ def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:
         level = children
 
 
+def largest_hook(lam: Partition) -> int:
+    """The corner hook lam_1 + len(lam) - 1; 0 for the empty partition."""
+    return lam.parts[0] + len(lam) - 1 if lam else 0
+
+
+def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, int]:
+    """N_m, the number of hooks of lam divisible by m, for each modulus m.
+
+    A hook is a bead with a gap below it on the boundary, and its length is
+    their distance. Counting positions from the lowest gap, the beads sit at
+    y_k = lam_k - k + len(lam) for k = 1..len(lam). A bead y has y // m
+    positions below it on its runner (positions congruent to y mod m), and
+    each of the other beads on that runner below it fills one of them, so
+    N_m = sum_k y_k // m - (pairs of beads on a common runner). The beads
+    are built once; each modulus costs O(len(lam) log len(lam)), never
+    O(|lam|).
+    """
+    n = len(lam.parts)
+    beads = [part - k + n for k, part in enumerate(lam.parts, 1)]
+    top = largest_hook(lam)
+    counts: dict[int, int] = {}
+    for m in moduli:
+        if m < 1:
+            raise ValueError(f"divisor must be >= 1, got {m}")
+        if m in counts:
+            continue
+        if m > top:
+            counts[m] = 0
+            continue
+        # beads sharing a runner, found by sorting the residues: the memory
+        # stays O(len(lam)) however far m exceeds len(lam)
+        pairs = run = 0
+        prev = -1
+        for r in sorted([y % m for y in beads]):
+            if r == prev:
+                run += 1
+                pairs += run
+            else:
+                prev, run = r, 0
+        counts[m] = sum(y // m for y in beads) - pairs
+    return counts
+
+
 def hook_count_divisible(lam: Partition, r: int) -> int:
     """Number of hooks of lam divisible by r."""
-    if r < 1:
-        raise ValueError(f"divisor must be >= 1, got {r}")
-    return sum(c for h, c in hook_multiset(lam).items() if h % r == 0)
+    return divisible_hook_counts(lam, (r,))[r]
 
 
 def valuation_hook_product(lam: Partition, p: int) -> int:
@@ -244,14 +291,13 @@ def valuation_hook_product(lam: Partition, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"valuation requires a prime modulus, got {p}")
-    total = 0
+    top = largest_hook(lam)
+    powers = []
     pk = p
-    hooks = hook_multiset(lam)
-    maxhook = max(hooks, default=0)
-    while pk <= maxhook:
-        total += sum(c for h, c in hooks.items() if h % pk == 0)
+    while pk <= top:
+        powers.append(pk)
         pk *= p
-    return total
+    return sum(divisible_hook_counts(lam, powers).values())
 
 
 def cells_with_exact_valuation(lam: Partition, p: int, d: int) -> int:
@@ -260,4 +306,5 @@ def cells_with_exact_valuation(lam: Partition, p: int, d: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if d < 1:
         raise ValueError(f"exponent must be >= 1, got {d}")
-    return hook_count_divisible(lam, p**d) - hook_count_divisible(lam, p ** (d + 1))
+    counts = divisible_hook_counts(lam, (p**d, p ** (d + 1)))
+    return counts[p**d] - counts[p ** (d + 1)]

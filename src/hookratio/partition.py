@@ -73,11 +73,7 @@ class Partition:
         return format_partition(self)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-        )
+        return Partition(_conjugate_parts(self.parts))
 
     def cells(self) -> Iterator[Cell]:
         """Cells of the Young diagram in row major order, 0-based."""
@@ -140,11 +136,25 @@ def format_partition(lam: Partition) -> str:
     return ",".join(out)
 
 
-@lru_cache(maxsize=None)
-def _hook_values(parts: tuple[int, ...]) -> tuple[int, ...]:
+def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
+    """Column lengths of a weakly decreasing parts tuple, in O(parts[0] +
+    len(parts)): count the rows ending in each column, then take suffix
+    sums."""
     if not parts:
-        return ()
-    conj = tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+        return []
+    conj = [0] * parts[0]
+    for row in parts:
+        conj[row - 1] += 1
+    for j in range(parts[0] - 2, -1, -1):
+        conj[j] += conj[j + 1]
+    return conj
+
+
+# Bounded: exhaustive search sees each partition once, so an unbounded memo
+# only grows; repeated callers reuse far fewer entries than this.
+@lru_cache(maxsize=4096)
+def _hook_values(parts: tuple[int, ...]) -> tuple[int, ...]:
+    conj = _conjugate_parts(parts)
     return tuple(
         (row - j) + (conj[j] - i) - 1
         for i, row in enumerate(parts)

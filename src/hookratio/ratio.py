@@ -201,7 +201,11 @@ def bober_families(x: int, y: int) -> list[tuple[tuple[int, ...], tuple[int, ...
 
 
 def check_size_bound(params: RatioParams) -> bool:
-    """Explicit bound K + L <= 287 * (L - K)**3.44 for positive height."""
+    """Explicit bound K + L <= 287 * (L - K)**3.44 for positive height.
+
+    With 3.44 = 86/25 the bound is compared exactly, in integers, as
+    (K + L)**25 <= 287**25 * (L - K)**86.
+    """
     if params.height < 1:
         raise ValueError("the size bound is stated only for height >= 1")
-    return params.K + params.L <= 287 * params.height**3.44
+    return (params.K + params.L) ** 25 <= 287**25 * params.height**86

@@ -99,6 +99,25 @@ def oracle_p_core(lam, p, rng=None):
     return from_boundary(BoundarySequence(bits, offset))
 
 
+def oracle_ratio_valuation(lam, params, p):
+    """Exponent of the prime p in the ratio by listing every hook: each hook
+    h divisible by a parameter r contributes the p-adic valuation of
+    h / r, positively for gammas and negatively for deltas."""
+    from hookratio import hook_multiset
+
+    hooks = hook_multiset(lam)
+    total = 0
+    for divisors, sign in ((params.gammas, 1), (params.deltas, -1)):
+        for r in divisors:
+            for h, count in hooks.items():
+                if h % r == 0:
+                    q = h // r
+                    while q % p == 0:
+                        total += sign * count
+                        q //= p
+    return total
+
+
 def exact_ratio_value(lam, gammas, deltas):
     """The ratio as an exact Fraction of restricted hook products."""
     from hookratio import restricted_hooks

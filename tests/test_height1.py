@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import hookratio.height1 as height1_module
+import hookratio.partition as partition_module
 from hookratio import (
     Height1ContradictionError,
     Partition,
@@ -158,6 +159,22 @@ class TestDecideHeight1:
         assert verdict.witness.mu == Partition((2,))
         assert verdict.witness.p == 3
         assert verdict.valuation_at_p == -3
+
+    def test_witness_reverification_lists_no_large_hooks(self, monkeypatch):
+        # the 223,260-cell witness is checked on its beads, never by
+        # listing its hooks
+        sizes = []
+        hook_values = partition_module._hook_values
+
+        def recording(parts):
+            sizes.append(sum(parts))
+            return hook_values(parts)
+
+        monkeypatch.setattr(partition_module, "_hook_values", recording)
+        verdict = decide_height1(RatioParams((35,), (60, 84)))
+        assert verdict.status == STATUS_FAILS
+        assert verdict.witness.lam.size == 223_260
+        assert sizes and max(sizes) <= 10**4
 
     def test_bober_images_all_fail(self):
         for (x, y), params in valid_bober_images(6):

@@ -20,15 +20,22 @@ from hookratio import (
     decide,
     extract_failing_mu,
     find_failing_mu,
+    format_partition,
     parse_partition,
     quotient_tower,
     ratio_factored,
     ratio_valuation,
 )
 
-from conftest import exact_ratio_value
+from conftest import (
+    all_partitions_through,
+    exact_ratio_value,
+    oracle_ratio_valuation,
+)
 
 SPORADIC = RatioParams((1, 30), (2, 3, 5))
+# first rung of the height 1 witness ladder: a 223,260-cell witness at p = 61
+LADDER_FIRST = RatioParams((35,), (60, 84))
 RECTANGLE = parse_partition("6^5")
 
 # the printed factorization of the ratio at (66^55) for ((1,30),(2,3,5))
@@ -99,6 +106,25 @@ class TestRatioFactored:
                     assert ratio_valuation(lam, SPORADIC, p) == fr.exponent(p)
         with pytest.raises(ValueError):
             ratio_valuation(RECTANGLE, SPORADIC, 6)
+
+
+class TestRatioValuation:
+    def test_matches_hook_listing_oracle(self, balanced_grid, partitions_by_size):
+        for lam in all_partitions_through(partitions_by_size, 10):
+            for params in balanced_grid:
+                for p in (2, 3, 5, 7):
+                    assert ratio_valuation(lam, params, p) == (
+                        oracle_ratio_valuation(lam, params, p)
+                    ), (lam, params, p)
+
+    def test_large_witness_matches_oracle(self):
+        lam = parse_partition("1586^61,61^2074")
+        assert lam.size == 223_260
+        for p in (2, 3, 5, 7, 61):
+            assert ratio_valuation(lam, LADDER_FIRST, p) == (
+                oracle_ratio_valuation(lam, LADDER_FIRST, p)
+            )
+        assert ratio_valuation(lam, LADDER_FIRST, 61) == -61
 
 
 class TestCountsSignature:
@@ -190,6 +216,20 @@ class TestFindFailingMu:
         with pytest.raises(ValueError):
             find_failing_mu(SPORADIC, -1)
 
+    @pytest.mark.parametrize(
+        "workers, cpus, chunks, size",
+        [
+            (2, 2, 2, 2),
+            (5000, 2, 5000, 2),
+            (5000, 64, 3, 3),
+            (3, 64, 10, 3),
+            (4, None, 4, 1),
+        ],
+    )
+    def test_pool_size_is_capped(self, workers, cpus, chunks, size):
+        # arithmetic only: no pool is started here
+        assert integral_module._pool_size(workers, cpus, chunks) == size
+
 
 class TestConstructFailingLambda:
     def test_rectangle_to_66_55(self):
@@ -214,6 +254,12 @@ class TestConstructFailingLambda:
     def test_rejects_nonnegative_signature(self):
         with pytest.raises(ValueError):
             construct_failing_lambda(Partition((3,)), SPORADIC)
+
+    def test_first_ladder_witness(self):
+        mu = find_failing_mu(LADDER_FIRST, 0, hooks_only=True)
+        p, lam = construct_failing_lambda(mu, LADDER_FIRST)
+        assert p == 61
+        assert format_partition(lam) == "1586^61,61^2074"
 
     def test_exponent_is_p_times_signature(self, balanced_grid):
         rng = random.Random(11)

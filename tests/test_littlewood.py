@@ -21,7 +21,7 @@ from hookratio import (
     valuation_hook_product,
 )
 
-from conftest import oracle_factorize, oracle_p_core
+from conftest import oracle_factorize, oracle_hooks, oracle_p_core
 
 
 class TestDecompose:
@@ -259,6 +259,15 @@ class TestHookCounts:
 
     def test_18_7_6_at_3(self):
         assert hook_count_divisible(Partition((18, 7, 6)), 3) == 9
+
+    def test_matches_box_counting_oracle(self):
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                hooks = oracle_hooks(lam.parts)
+                for m in range(1, 17):
+                    assert hook_count_divisible(lam, m) == sum(
+                        1 for h in hooks if h % m == 0
+                    ), (lam, m)
 
     def test_quotient_count_identity(self, partitions_by_size):
         # count divisible by p*k equals the sum of k-counts over quotients

@@ -241,6 +241,21 @@ class TestSizeBound:
         assert params.height == 1
         assert not check_size_bound(params)
 
+    @pytest.mark.parametrize(
+        "height, largest_accepted", [(1, 287), (2, 3114)]
+    )
+    def test_exact_at_the_edge(self, height, largest_accepted):
+        # 287 * 2**3.44 = 3114.76...; K + L and L - K have the same parity,
+        # so the next reachable size after the largest accepted one is two
+        # further on
+        for total, accepted in (
+            (largest_accepted, True), (largest_accepted + 2, False),
+        ):
+            K = (total - height) // 2
+            params = RatioParams((1,) * K, (2,) * (K + height))
+            assert (params.K + params.L, params.height) == (total, height)
+            assert check_size_bound(params) is accepted
+
     def test_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
             check_size_bound(RatioParams((3, 6), (2,)))
