@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .littlewood import (
+    _walk,
     compose,
     divisible_hook_counts,
     hook_count_divisible,
-    iter_tower_levels,
     largest_hook,
 )
 from .partition import (
@@ -115,26 +115,20 @@ class FactoredRatio:
         }
 
 
-def _signed_quotients(
-    hooks: Mapping[int, int], gammas: Sequence[int], deltas: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """(signed multiplicity, h // divisor) for each hook h divisible by a
-    parameter, positive for gammas and negative for deltas. The divisor
-    loop is outside because that order is fastest for counts_signature."""
+def _vector_ratio_exponents(
+    lam: Partition, gammas: Sequence[int], deltas: Sequence[int]
+) -> dict[int, int]:
+    """Prime exponents of the ratio: each hook h divisible by a parameter
+    contributes the factors of h // parameter, positively for gammas and
+    negatively for deltas."""
+    hooks = hook_multiset(lam)
+    exps: dict[int, int] = {}
     for divisors, sign in ((gammas, 1), (deltas, -1)):
         for divisor in divisors:
             for h, count in hooks.items():
                 if h % divisor == 0:
-                    yield sign * count, h // divisor
-
-
-def _vector_ratio_exponents(
-    lam: Partition, gammas: Sequence[int], deltas: Sequence[int]
-) -> dict[int, int]:
-    exps: dict[int, int] = {}
-    for mult, q in _signed_quotients(hook_multiset(lam), gammas, deltas):
-        for p, e in factorize(q):
-            exps[p] = exps.get(p, 0) + mult * e
+                    for p, e in factorize(h // divisor):
+                        exps[p] = exps.get(p, 0) + sign * count * e
     return exps
 
 
@@ -144,12 +138,14 @@ def ratio_factored(lam: Partition, params: RatioParams) -> FactoredRatio:
 
 
 def counts_signature(mu: Partition, params: RatioParams) -> int:
-    """Signed hook count sum: total hooks divisible by some gamma minus
-    total hooks divisible by some delta (with multiplicity on both sides).
+    """Signed hook count sum: sum over gammas of N_gamma(mu) minus sum over
+    deltas of N_delta(mu), where N_m counts the hooks divisible by m. A
+    repeated parameter counts once per entry. All counts come from one call
+    of the bead kernel, so no hook of mu is listed.
     """
-    return sum(
-        mult for mult, _ in
-        _signed_quotients(hook_multiset(mu), params.gammas, params.deltas)
+    counts = divisible_hook_counts(mu, params.gammas + params.deltas)
+    return sum(counts[g] for g in params.gammas) - sum(
+        counts[d] for d in params.deltas
     )
 
 
@@ -318,18 +314,18 @@ def extract_failing_mu(lam: Partition, params: RatioParams, p: int) -> Partition
     The exponent at p equals the sum of counts signatures over the labels
     of the p-quotient tower of lam at depth >= 1, so a negative total
     guarantees a negative label. Labels are scanned by depth, then by the
-    lexicographic order of their words.
+    lexicographic order of their words, and the walk stops at the first
+    negative one.
     """
     vp = ratio_valuation(lam, params, p)
     if vp >= 0:
         raise ValueError(
             f"ratio at {lam!r} has exponent {vp} at {p}; nothing to extract"
         )
-    for level in iter_tower_levels(lam, p):
-        for label in level:
-            if counts_signature(label, params) < 0:
-                return label
-    raise AssertionError(
+    for word, label, _ in _walk(lam, p):
+        if word and counts_signature(label, params) < 0:
+            return label
+    raise InvariantError(
         "negative valuation without a negative tower label; "
         "this contradicts the valuation decomposition"
     )

@@ -1,31 +1,32 @@
 """Littlewood decomposition at an arbitrary modulus p >= 2.
 
-A partition decomposes into its p-core plus p quotient partitions. On the
-boundary sequence the decomposition is a deinterleaving: quotient j is the
-subsequence of entries at global indices congruent to j mod p, with index 0
-of each subsequence sitting at the residue immediately after the centering
-mark. Removing a hook of length p swaps a (1, 0) pair at distance p, which
-moves entirely inside one residue class; the p-core is what remains when
-every class has been pushed down to its vacuum. The charge of each residue
-subsequence is the alignment datum that makes the map invertible.
+Everything here works on the bead positions (beta-numbers) of a
+partition: with n rows, padded by zero parts, the beads sit at
+x_k = lam_k - k for k = 1..n, and every position below -n is a bead too.
+At modulus p, bead x lies on runner x mod p at level x // p. Removing a
+hook of length p slides one bead down one level of its runner, so the
+p-core is what remains when every runner has been pushed down as far as
+it goes. The charge of runner j is the number of beads it carries beyond
+the n / p it would carry in a full abacus of n rows; the charges sum to
+zero, fix the core, and are the alignment datum that makes the map
+invertible. Quotient j reads the levels of the beads on runner j as the
+beta-numbers of a partition, shifted by that charge.
 
 Iterating the decomposition labels the p-ary rooted tree with partitions
 (the quotient tower) and with p-cores (the core tower); all but finitely
 many labels are empty.
+
+Hooks are counted on the beads as well: a hook is a bead with an empty
+position below it, and its length is their distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
-from .partition import (
-    EMPTY,
-    BoundarySequence,
-    Partition,
-    format_partition,
-    to_boundary,
-)
+from .partition import EMPTY, Partition, format_partition
 from .primes import is_prime
 
 Word = tuple[int, ...]
@@ -42,17 +43,6 @@ class LittlewoodDecomposition:
 
     def total_quotient_size(self) -> int:
         return sum(q.size for q in self.quotients)
-
-
-def _residue_subsequence(b: BoundarySequence, p: int, j: int) -> BoundarySequence:
-    """Subsequence i -> b.value(p*i + j), trimmed but alignment preserving."""
-    lo = b.offset
-    hi = b.offset + len(b.window)
-    i_lo = (lo - j) // p - 1
-    i_hi = -((j - hi) // p) + 1
-    return BoundarySequence(
-        (b.value(p * i + j) for i in range(i_lo, i_hi + 1)), i_lo
-    )
 
 
 def _assemble(
@@ -77,17 +67,28 @@ def _assemble(
 def decompose(lam: Partition, p: int) -> LittlewoodDecomposition:
     """Split lam into its p-core and the p-tuple of quotients.
 
-    Quotient j reads the residue-j subsequence of the centered boundary
-    sequence; the core replaces every subsequence by the vacuum of the same
-    charge. The size identity |lam| = |core| + p * sum of quotient sizes
-    holds for every output.
+    Pad lam with zero parts to n = ceil(len(lam) / p) * p rows and put
+    bead x_k = lam_k - k on runner x_k mod p at level x_k // p. Runner j
+    carries c_j = (its beads) - n / p as its charge, and its levels
+    u_1 > u_2 > ... give quotient j the parts u_i + i - c_j that are
+    positive. The core keeps the charges and empties every quotient. This
+    is the inverse of compose; the size identity |lam| = |core| + p * sum
+    of quotient sizes holds for every output.
     """
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    b = to_boundary(lam)
-    subs = [_residue_subsequence(b, p, j) for j in range(p)]
-    quotients = tuple(s.to_partition() for s in subs)
-    charges = tuple(s.charge() for s in subs)
+    n = -(-len(lam) // p) * p
+    runners: list[list[int]] = [[] for _ in range(p)]
+    for k, part in enumerate(lam.parts + (0,) * (n - len(lam)), 1):
+        level, j = divmod(part - k, p)
+        runners[j].append(level)
+    charges = tuple(len(levels) - n // p for levels in runners)
+    quotients = tuple(
+        Partition(
+            part for part in (u + i - c for i, u in enumerate(levels, 1)) if part > 0
+        )
+        for levels, c in zip(runners, charges)
+    )
     core = _assemble([EMPTY] * p, charges, p)
     return LittlewoodDecomposition(p, core, quotients, charges)
 
@@ -118,20 +119,15 @@ def compose(core: Partition, quotients: Sequence[Partition], p: int) -> Partitio
 def p_core(lam: Partition, p: int) -> Partition:
     """The p-core: what is left after removing hooks of length p until
     none remains, in any order. It is read off the decomposition, where
-    each residue class is pushed down to the vacuum of its charge."""
+    every runner is pushed down as far as it goes."""
     return decompose(lam, p).core
 
 
 def is_p_core(lam: Partition, p: int) -> bool:
-    """True when no hook length is divisible by p.
-
-    It suffices to look for a hook of length exactly p, i.e. a (1, 0) pair
-    at distance p in the boundary sequence.
-    """
+    """True when no hook length is divisible by p."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    b = to_boundary(lam)
-    return not any(b.value(s - p) == 1 for s in b.zero_positions())
+    return hook_count_divisible(lam, p) == 0
 
 
 class _Tower:
@@ -184,52 +180,35 @@ class CoreTower(_Tower):
     """Labels: the p-core of the corresponding quotient tower label."""
 
 
-def _expand(
+def _walk(
     lam: Partition, p: int
-) -> tuple[dict[Word, Partition], dict[Word, Partition]]:
-    """Quotient tower labels and the p-core of each nonempty label, from
-    one decomposition per label."""
+) -> Iterator[tuple[Word, Partition, LittlewoodDecomposition]]:
+    """(word, label, decomposition) for every nonempty quotient tower label,
+    by depth and then by word: breadth first, children in digit order."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    labels: dict[Word, Partition] = {(): lam}
-    cores: dict[Word, Partition] = {}
-    frontier: list[Word] = [()] if lam else []
-    while frontier:
-        word = frontier.pop()
-        dec = decompose(labels[word], p)
-        cores[word] = dec.core
-        for j, q in enumerate(dec.quotients):
-            if q:
-                child = word + (j,)
-                labels[child] = q
-                frontier.append(child)
-    return labels, cores
+    queue = [((), lam)] if lam else []
+    for word, label in queue:  # the loop also reaches the children it appends
+        dec = decompose(label, p)
+        yield word, label, dec
+        queue.extend((word + (j,), q) for j, q in enumerate(dec.quotients) if q)
 
 
 def quotient_tower(lam: Partition, p: int) -> QuotientTower:
-    return QuotientTower(p, _expand(lam, p)[0])
+    return QuotientTower(p, {word: label for word, label, _ in _walk(lam, p)})
 
 
 def core_tower(lam: Partition, p: int) -> CoreTower:
-    return CoreTower(p, _expand(lam, p)[1])
+    return CoreTower(p, {word: dec.core for word, _, dec in _walk(lam, p)})
 
 
 def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:
     """Nonempty quotient tower labels, one level at a time, starting at
     depth 1; each level is ordered by the lexicographic order of its words.
     Stops after the last nonempty level."""
-    level = [((), lam)] if lam else []
-    while level:
-        children = []
-        for word, lab in level:
-            for j, q in enumerate(decompose(lab, p).quotients):
-                if q:
-                    children.append((word + (j,), q))
-        if not children:
-            return
-        children.sort(key=lambda item: item[0])
-        yield [lab for _, lab in children]
-        level = children
+    for depth, level in groupby(_walk(lam, p), key=lambda item: len(item[0])):
+        if depth:
+            yield [label for _, label, _ in level]
 
 
 def largest_hook(lam: Partition) -> int:

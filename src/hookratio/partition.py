@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -27,12 +28,15 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(v) for v in parts)
-        for i, v in enumerate(parts):
-            if v < 1:
-                raise ValueError(f"partition parts must be positive, got {v}")
-            if i and parts[i - 1] < v:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        parts = tuple(map(int, parts))
+        # both checks run at C speed (a weakly decreasing tuple is its own
+        # descending sort); the loop only runs to name the first fault
+        if parts and (parts[-1] < 1 or list(parts) != sorted(parts, reverse=True)):
+            for i, v in enumerate(parts):
+                if v < 1:
+                    raise ValueError(f"partition parts must be positive, got {v}")
+                if i and parts[i - 1] < v:
+                    raise ValueError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
@@ -121,18 +125,12 @@ def parse_partition(text: str) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Canonical literal: comma separated, runs of 4 or more as ``b^e``."""
     out = []
-    parts = lam.parts
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        run = j - i
-        if run >= 4:
-            out.append(f"{parts[i]}^{run}")
+    for part, run in groupby(lam.parts):
+        count = len(list(run))
+        if count >= 4:
+            out.append(f"{part}^{count}")
         else:
-            out.extend([str(parts[i])] * run)
-        i = j
+            out.extend([str(part)] * count)
     return ",".join(out)
 
 
@@ -150,8 +148,9 @@ def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
     return conj
 
 
-# Bounded: exhaustive search sees each partition once, so an unbounded memo
-# only grows; repeated callers reuse far fewer entries than this.
+# Bounded, so a long run cannot grow it without limit; its callers
+# (ratio_factored, the hook verbs, dimension) revisit few shapes. It stays an
+# lru_cache because bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def _hook_values(parts: tuple[int, ...]) -> tuple[int, ...]:
     conj = _conjugate_parts(parts)

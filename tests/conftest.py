@@ -6,13 +6,27 @@ factorization by fresh trial division, partition counts by the coin
 recurrence, and tableau counts by corner removal.
 """
 
+import os
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 from hookratio import RatioParams, enumerate_partitions
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_env():
+    """The environment with src/ first on PYTHONPATH, so that a child
+    interpreter imports this checkout whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def oracle_hooks(parts):
@@ -97,6 +111,33 @@ def oracle_p_core(lam, p, rng=None):
         i = rng.choice(swaps) if rng is not None else swaps[0]
         bits[i], bits[i + p] = 0, 1
     return from_boundary(BoundarySequence(bits, offset))
+
+
+def oracle_decompose(lam, p):
+    """(core, quotients, charges) of lam at p by deinterleaving the centered
+    boundary sequence: quotient j reads the entries at global indices
+    congruent to j mod p, index 0 of each subsequence sitting at the residue
+    right after the centering mark, and its charge is that subsequence's
+    charge. The core replaces subsequence j by the vacuum of charge c_j
+    (entry 0 below index c_j, 1 from there on) and interleaves them back."""
+    from hookratio import BoundarySequence, from_boundary, to_boundary
+
+    b = to_boundary(lam)
+    lo, hi = b.offset, b.offset + len(b.window)
+    subs = []
+    for j in range(p):
+        i_lo = (lo - j) // p - 1
+        i_hi = -((j - hi) // p) + 1
+        subs.append(BoundarySequence(
+            (b.value(p * i + j) for i in range(i_lo, i_hi + 1)), i_lo
+        ))
+    quotients = tuple(s.to_partition() for s in subs)
+    charges = tuple(s.charge() for s in subs)
+    g_lo, g_hi = p * (min(charges) - 1), p * (max(charges) + 1)
+    core = from_boundary(BoundarySequence(
+        (0 if g // p < charges[g % p] else 1 for g in range(g_lo, g_hi)), g_lo
+    ))
+    return core, quotients, charges
 
 
 def oracle_ratio_valuation(lam, params, p):

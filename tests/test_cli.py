@@ -4,6 +4,8 @@ import sys
 
 from hookratio.cli import run
 
+from conftest import source_env
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -329,7 +331,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hookratio", "decompose",
          "--partition", "18,7,6", "--p", "3", "--json"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=source_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["core"] == "3,1"
@@ -338,7 +340,7 @@ def test_module_entry_point():
 def test_console_script_version():
     proc = subprocess.run(
         [sys.executable, "-m", "hookratio", "--version"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=source_env(),
     )
     assert proc.returncode == 0
     assert "hookratio" in proc.stdout

@@ -1,24 +1,19 @@
 """Every walkthrough script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, source_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, str(demo)],
-        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+        capture_output=True, text=True, timeout=120, env=source_env(), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr

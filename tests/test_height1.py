@@ -161,8 +161,8 @@ class TestDecideHeight1:
         assert verdict.valuation_at_p == -3
 
     def test_witness_reverification_lists_no_large_hooks(self, monkeypatch):
-        # the 223,260-cell witness is checked on its beads, never by
-        # listing its hooks
+        # the 223,260-cell witness is checked on its beads, and the
+        # signatures of mu come from the same bead kernel: no hook is listed
         sizes = []
         hook_values = partition_module._hook_values
 
@@ -174,7 +174,7 @@ class TestDecideHeight1:
         verdict = decide_height1(RatioParams((35,), (60, 84)))
         assert verdict.status == STATUS_FAILS
         assert verdict.witness.lam.size == 223_260
-        assert sizes and max(sizes) <= 10**4
+        assert sizes == []
 
     def test_bober_images_all_fail(self):
         for (x, y), params in valid_bober_images(6):

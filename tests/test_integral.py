@@ -31,6 +31,7 @@ from conftest import (
     all_partitions_through,
     exact_ratio_value,
     oracle_ratio_valuation,
+    source_env,
 )
 
 SPORADIC = RatioParams((1, 30), (2, 3, 5))
@@ -152,16 +153,17 @@ class TestCountsSignature:
                 )
                 assert counts_signature(lam, SPORADIC) == expected
 
-    def test_matches_g_sum_over_cells(self, partitions_by_size):
+    def test_matches_g_sum_over_cells(self, partitions_by_size, balanced_grid):
+        # the grid has repeated entries such as (1, 1), each of which must
+        # count its hooks once per entry
         from hookratio import g_value, hook_multiset
 
         for n in range(11):
             for lam in partitions_by_size[n]:
-                total = sum(
-                    c * g_value(h, SPORADIC)
-                    for h, c in hook_multiset(lam).items()
-                )
-                assert counts_signature(lam, SPORADIC) == total
+                hooks = hook_multiset(lam).items()
+                for params in [SPORADIC] + balanced_grid:
+                    total = sum(c * g_value(h, params) for h, c in hooks)
+                    assert counts_signature(lam, params) == total, (lam, params)
 
 
 class TestFindFailingMu:
@@ -296,6 +298,15 @@ class TestExtractFailingMu:
         tower = quotient_tower(lam, 2)
         assert any(tower.label(w) == mu for w in tower.support() if w)
 
+    def test_no_negative_label_is_an_invariant_error(self, monkeypatch):
+        # a negative valuation with no negative tower label contradicts the
+        # valuation decomposition, and must not pass as a bare assert
+        from hookratio import InvariantError
+
+        monkeypatch.setattr(integral_module, "counts_signature", lambda mu, params: 0)
+        with pytest.raises(InvariantError):
+            extract_failing_mu(parse_partition("66^55"), SPORADIC, 11)
+
     def test_extraction_digs_below_depth_one(self):
         # (4,4,4) decomposes at 2 into quotients (2) and (2,2), both with
         # signature 0 for these parameters; the negative labels only appear
@@ -423,6 +434,15 @@ class TestDecide:
         assert verdict.status == STATUS_UNKNOWN
         assert len(calls) == 1
 
+    def test_search_lists_no_hooks(self, monkeypatch):
+        # the exhaustive search reads every signature off the bead kernel
+        def listing(lam):
+            raise AssertionError(f"hooks of {lam!r} were listed")
+
+        monkeypatch.setattr(integral_module, "hook_multiset", listing)
+        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 12)
+        assert verdict.status == STATUS_UNKNOWN
+
     def test_reverification_survives_optimize_flag(self):
         # a witness whose valuation does not re-verify must raise even
         # when the interpreter strips assert statements
@@ -436,7 +456,7 @@ class TestDecide:
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=source_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised")

@@ -14,6 +14,7 @@ from hookratio import (
     hook_count_divisible,
     hook_multiset,
     is_p_core,
+    iter_tower_levels,
     p_core,
     parse_partition,
     quotient_tower,
@@ -21,7 +22,12 @@ from hookratio import (
     valuation_hook_product,
 )
 
-from conftest import oracle_factorize, oracle_hooks, oracle_p_core
+from conftest import (
+    oracle_decompose,
+    oracle_factorize,
+    oracle_hooks,
+    oracle_p_core,
+)
 
 
 class TestDecompose:
@@ -58,6 +64,24 @@ class TestDecompose:
             for lam in partitions_by_size[n]:
                 for p in (2, 3, 5):
                     assert sum(decompose(lam, p).charges) == 0
+
+
+    def test_matches_boundary_oracle(self):
+        # runners and charges read off the beads agree with deinterleaving
+        # the boundary sequence, on every partition of size <= 14
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                for p in range(2, 8):
+                    dec = decompose(lam, p)
+                    assert (dec.core, dec.quotients, dec.charges) == (
+                        oracle_decompose(lam, p)
+                    ), (lam, p)
+
+    @pytest.mark.parametrize("literal,p", [("100^80", 2), ("66^55", 11)])
+    def test_matches_boundary_oracle_on_rectangles(self, literal, p):
+        lam = parse_partition(literal)
+        dec = decompose(lam, p)
+        assert (dec.core, dec.quotients, dec.charges) == oracle_decompose(lam, p)
 
 
 class TestCompose:
@@ -231,6 +255,19 @@ class TestTowers:
                         for w in tower.support()
                     )
                     assert total == lam.size
+
+    def test_levels_follow_the_tower_support(self, partitions_by_size):
+        # iter_tower_levels and quotient_tower read the same walk: level d
+        # lists the depth-d labels in the order of their words
+        for n in range(11):
+            for lam in partitions_by_size[n]:
+                for p in (2, 3, 4):
+                    tower = quotient_tower(lam, p)
+                    levels = [[] for _ in range(tower.depth())]
+                    for w in tower.support():
+                        if w:
+                            levels[len(w) - 1].append(tower.label(w))
+                    assert list(iter_tower_levels(lam, p)) == levels
 
     def test_serialization(self):
         # the core of the quotient label (2) is (2) itself, so the words 0
