@@ -14,15 +14,70 @@ mu at a prime p exceeding every hook of mu); conversely a failing lambda
 surrenders a negative-signature mu among its quotient tower labels, since
 the valuation of the ratio at a prime p equals the sum of the counts
 signatures over all quotient tower labels at depth >= 1.
+
+Searching M-cores. For balanced parameters the bounded search only visits
+the M-cores, M the lcm of all entries, walked by charge vector. It returns
+the same partition as enumerating every partition, by these facts (sig is
+the counts signature, N_r the number of hooks divisible by r, and charges
+are those of `littlewood.decompose`):
+
+1. N_r(lam) = (|lam| - |core_r(lam)|) / r. A hook of length divisible by
+   r is a bead with an empty position below it on the same runner of the
+   r-abacus, so runner j contributes the pairs (bead, gap below it), which
+   number |quotient_j|; the size identity |lam| = |core_r| + r * sum_j
+   |quotient_j| gives the claim. Under balance, sum 1/gamma = sum 1/delta,
+   the |lam| terms cancel and
+       sig(lam) = sum_delta |core_delta(lam)| / delta
+                  - sum_gamma |core_gamma(lam)| / gamma.
+2. For r | M the r-charges are residue-class sums of the M-charges c:
+   S_i = sum of c_j over j = i mod r. Pad lam to n rows with M | n; the
+   M-runners j = i mod r make up r-runner i, and n / r = (M / r)(n / M).
+   The M-core keeps the M-charges of lam, so it keeps its r-charges too,
+   and the r-core is the one r-core with those r-charges. So the two have
+   the same r-cores for every r | M, and by 1, sig(lam) = sig(core_M(lam)).
+3. The p-core with charges c (sum c = 0) has size sum_j (p/2 c_j^2 +
+   j c_j) (Garvan, Kim and Stanton, "Cranks and t-cores", Invent. Math.
+   101, 1990). The size of a partition is the sum of its bead positions
+   minus that of the empty partition's beads -1, -2, ...; runner j of the
+   core holds the levels below c_j where the empty partition holds those
+   below 0, which adds the positions p * level + j for level in [0, c_j),
+   p c_j (c_j - 1) / 2 + j c_j in all (also when c_j < 0, as a removal).
+   Using sum c = 0 again, 2|core| = sum_j t_j(c_j) with
+   t_j(x) = p x^2 + (2j - p + 1) x.
+   With 1-3, 2M sig = sum_r w_r (r sum_i S_i^2 + 2 sum_i i S_i) over the
+   distinct entries r > 1, where w_r = (M / r)(#{delta = r} - #{gamma = r});
+   the 1-core is empty, so r = 1 adds nothing.
+4. Minimality. If sig(lam) < 0 and lam is not an M-core, its M-core is
+   strictly smaller and fails too (by 2). So every failing partition of the
+   smallest failing size is an M-core, and the lexicographically least of
+   them is the least failing partition of that size.
+5. Pruning. Since |2j - p + 1| <= p - 1, t_j(x) >= |x| (p|x| - p + 1) >=
+   |x| >= 0 for every integer x. Partial sums of 2|core| therefore only
+   grow along the walk, and coordinates that must still sum to s cost at
+   least |s|, so the least cost of the remaining coordinates for each sum
+   is a finite table, built once, and a prefix is cut as soon as its cost
+   plus that least cost exceeds the budget.
+
+The walk is a branch and bound on the smallest failing size: a failing
+core lowers the budget to its own size, and the failing cores of the final
+size are assembled and compared. It counts the cores it visits per size and
+checks the counts against the M-core generating function prod_k (1 -
+q^(Mk))^M / (1 - q^k), so a walk that missed a core raises InvariantError
+instead of reporting a clean search. For M above the bound (or the
+enumeration cap) every partition in range is an M-core, its hooks being
+all shorter than M, and without balance fact 1 keeps a |lam| term, so those
+searches still enumerate every partition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .littlewood import (
+    _assemble,
     _walk,
     compose,
     divisible_hook_counts,
@@ -30,11 +85,14 @@ from .littlewood import (
     largest_hook,
 )
 from .partition import (
+    EMPTY,
     Partition,
     construct_hook_partition,
     enumerate_partitions,
+    enumeration_cap_error,
     format_partition,
     hook_multiset,
+    max_enumeration_size,
 )
 from .primes import factorize, is_prime, next_prime_above
 from .ratio import InvariantError, RatioParams, build_ftable
@@ -199,15 +257,14 @@ def _hook_shape_scan(
     return None
 
 
-def _scan_level_chunk(args) -> tuple[int, ...] | None:
-    """Smallest parts tuple with negative signature within one chunk."""
+def _scan_level_chunk(args) -> Partition | None:
+    """Least partition with negative signature within one chunk."""
     gammas, deltas, chunk = args
     params = RatioParams(gammas, deltas)
     best = None
-    for parts in chunk:
-        if counts_signature(Partition(parts), params) < 0:
-            if best is None or parts < best:
-                best = parts
+    for lam in chunk:
+        if counts_signature(lam, params) < 0 and (best is None or lam < best):
+            best = lam
     return best
 
 
@@ -229,7 +286,7 @@ def _enumerate_failing_mu(
     pool = None
     try:
         for n in range(size_bound + 1):
-            level = [lam.parts for lam in enumerate_partitions(n)]
+            level = list(enumerate_partitions(n))
             if workers > 1 and len(level) >= PARALLEL_MIN_LEVEL:
                 step = -(-len(level) // workers)
                 chunks = [level[i:i + step] for i in range(0, len(level), step)]
@@ -251,11 +308,126 @@ def _enumerate_failing_mu(
             else:
                 best = _scan_level_chunk((params.gammas, params.deltas, level))
             if best is not None:
-                return Partition(best)
+                return best
     finally:
         if pool is not None:
             pool.shutdown()
     return None
+
+
+def _core_counts(M: int, limit: int) -> list[int]:
+    """Number of M-cores of each size 0..limit: the coefficients of
+    prod_k (1 - q^(Mk))^M / (1 - q^k)."""
+    counts = [1] + [0] * limit
+    for k in range(1, limit + 1):
+        for n in range(k, limit + 1):
+            counts[n] += counts[n - k]
+    for k in range(M, limit + 1, M):
+        for _ in range(M):
+            for n in range(limit, k - 1, -1):
+                counts[n] -= counts[n - k]
+    return counts
+
+
+def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
+    """Lexicographically least M-core with negative signature among those of
+    the smallest failing size up to limit, for balanced params.
+
+    A depth-first walk over the charge vectors c (sum 0) with 2|core| =
+    sum_j t_j(c_j) <= 2 * limit, carrying the r-charges and 2M sig as in
+    the module docstring; see there for why this equals the search over
+    every partition.
+    """
+    M = params.modulus
+    top = 2 * limit
+    weight = Counter(params.deltas)
+    weight.subtract(params.gammas)
+    terms = [(w * (M // r), r, [0] * r) for r, w in weight.items() if r > 1 and w]
+    # coordinate j moves residue j mod r of each r-charge vector
+    updates = [[(w, r, j % r, S) for w, r, S in terms] for j in range(M)]
+    # rest[j][top + s]: least cost of the coordinates j.. when they sum to
+    # s; by the pruning lemma |s| <= cost, so the range [-top, top] holds
+    # every sum within budget, and top + 1 stands for out of budget
+    rest = [[top + 1] * (2 * top + 1) for _ in range(M + 1)]
+    rest[M][top] = 0
+    for j in range(M - 1, -1, -1):
+        moves = [
+            (x, t) for x in range(-top, top + 1)
+            if (t := M * x * x + (2 * j - M + 1) * x) <= top
+        ]
+        row, below = rest[j], rest[j + 1]
+        for k in range(2 * top + 1):
+            row[k] = min(
+                [t + below[k - x] for x, t in moves if 0 <= k - x <= 2 * top],
+                default=top + 1,
+            )
+    c = [0] * M
+    visited = [0] * (limit + 1)
+    budget = top
+    failing: list[tuple[int, ...]] = []
+
+    def visit(j: int, s: int, cost: int, sig: int) -> None:
+        nonlocal budget, failing
+        if j == M:
+            size = cost // 2
+            visited[size] += 1
+            if sig < 0:
+                if cost < budget or not failing:
+                    budget, failing = cost, []
+                failing.append(tuple(c))
+            return
+        lin = 2 * j - M + 1
+        below = rest[j + 1]
+        for x, step in ((0, 1), (-1, -1)):
+            while (t := cost + M * x * x + lin * x) <= budget:
+                k = top - s - x
+                if 0 <= k <= 2 * top and t + below[k] <= budget:
+                    d = 0
+                    for w, r, i, S in updates[j]:
+                        v = S[i]
+                        d += w * (r * (2 * v + x) * x + 2 * i * x)
+                        S[i] = v + x
+                    c[j] = x
+                    visit(j + 1, s + x, t, sig + d)
+                    for w, r, i, S in updates[j]:
+                        S[i] -= x
+                x += step
+
+    visit(0, 0, 0, 0)
+    reached = budget // 2
+    if visited[: reached + 1] != _core_counts(M, reached):
+        raise InvariantError(
+            f"the {M}-core walk for {params} visited {visited[: reached + 1]} "
+            f"cores by size, expected {_core_counts(M, reached)}"
+        )
+    return min((_assemble([EMPTY] * M, v, M) for v in failing), default=None)
+
+
+def _least_failing_mu(
+    params: RatioParams, size_bound: int, workers: int
+) -> Partition | None:
+    """Lexicographically least partition with negative counts signature
+    among those of the smallest failing size up to the bound.
+
+    The search stops at the enumeration cap, read up front, and raises the
+    cap error when the bound lies beyond it and nothing was found. For
+    balanced parameters with M within both, it walks the M-cores; every
+    other search enumerates every partition, and only that fans out over
+    workers. With M above the bound or the cap, every partition in range
+    is an M-core anyway.
+    """
+    if size_bound < 0:
+        raise ValueError("size bound must be nonnegative")
+    if not params.is_balanced:
+        return _enumerate_failing_mu(params, size_bound, workers)
+    cap = max_enumeration_size()
+    limit = min(size_bound, cap)
+    if params.modulus > limit:
+        return _enumerate_failing_mu(params, size_bound, workers)
+    mu = _least_failing_core(params, limit)
+    if mu is None and size_bound > cap:
+        raise enumeration_cap_error(cap + 1, cap)
+    return mu
 
 
 def find_failing_mu(
@@ -269,10 +441,10 @@ def find_failing_mu(
     With hooks_only, only hook shapes are scanned through the period table
     (no size restriction; this is a complete decision at height 1 and a
     heuristic otherwise) and balance is required. The full search tries
-    hook shapes within the bound first, then enumerates every partition of
-    each size up to the bound, returning the lexicographically least
-    witness of the smallest failing size. The result is independent of the
-    worker count.
+    hook shapes within the bound first, then searches every size up to the
+    bound (the M-cores, or every partition; see _least_failing_mu),
+    returning the lexicographically least witness of the smallest failing
+    size. The result is independent of the worker count.
     """
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
@@ -283,7 +455,7 @@ def find_failing_mu(
         found = _hook_shape_scan(params, max_size=size_bound)
         if found:
             return construct_hook_partition(*found)
-    return _enumerate_failing_mu(params, size_bound, workers)
+    return _least_failing_mu(params, size_bound, workers)
 
 
 def construct_failing_lambda(
@@ -423,7 +595,8 @@ def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
     Returns Integral-Certified when a covering theorem applies, Fails with
     a re-verified witness triple when a negative-signature partition turns
     up (hook shapes over the full period grid first, then every partition
-    up to the size bound), and Unknown-UpToBound otherwise. The tool never
+    up to the size bound, through its M-core when M is within the bound),
+    and Unknown-UpToBound otherwise. The tool never
     certifies beyond the whitelist: a clean search is not a proof.
     """
     if not params.is_balanced:
@@ -435,7 +608,7 @@ def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
     if found is not None:
         mu = construct_hook_partition(*found)
     else:
-        mu = _enumerate_failing_mu(params, size_bound, workers)
+        mu = _least_failing_mu(params, size_bound, workers)
     if mu is not None:
         return _verified_fails(params, mu, size_bound)
     return Verdict(params, STATUS_UNKNOWN, bound=size_bound)

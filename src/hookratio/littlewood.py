@@ -23,7 +23,6 @@ position below it, and its length is their distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .partition import EMPTY, Partition, format_partition
@@ -205,10 +204,14 @@ def core_tower(lam: Partition, p: int) -> CoreTower:
 def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:
     """Nonempty quotient tower labels, one level at a time, starting at
     depth 1; each level is ordered by the lexicographic order of its words.
-    Stops after the last nonempty level."""
-    for depth, level in groupby(_walk(lam, p), key=lambda item: len(item[0])):
-        if depth:
-            yield [label for _, label, _ in level]
+    Level d + 1 is built from the quotients of level d only when it is
+    requested, so a consumer that stops after level d decomposes no label
+    of that level. Stops after the last nonempty level."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
+    level = [lam] if lam else []
+    while level := [q for label in level for q in decompose(label, p).quotients if q]:
+        yield level
 
 
 def largest_hook(lam: Partition) -> int:

@@ -213,16 +213,21 @@ def max_enumeration_size() -> int:
         ) from None
 
 
+def enumeration_cap_error(n: int, cap: int) -> ValueError:
+    """The error for a search that would have to go to size n > cap."""
+    return ValueError(
+        f"enumeration size {n} exceeds the configured cap {cap} "
+        f"(set {MAX_SIZE_ENV_VAR} to raise it)"
+    )
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n exactly, in lexicographically descending order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     cap = max_enumeration_size()
     if n > cap:
-        raise ValueError(
-            f"enumeration size {n} exceeds the configured cap {cap} "
-            f"(set {MAX_SIZE_ENV_VAR} to raise it)"
-        )
+        raise enumeration_cap_error(n, cap)
     yield from (Partition(parts) for parts in _descending_partitions(n, n))
 
 

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .primes import factorize
+
 
 class InvariantError(RuntimeError):
     """An identity that holds for every valid input came out false: the
@@ -137,7 +139,8 @@ class FTable:
 
 @lru_cache(maxsize=None)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M) and find the minimal period P dividing M.
+    """Tabulate f over [0, M) and find the minimal period P, trying the
+    divisors of M (built from its factorization) in increasing order.
 
     Raises for unbalanced parameters, where f is unbounded and has no
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
@@ -149,11 +152,13 @@ def build_ftable(params: RatioParams) -> FTable:
         )
     M = params.modulus
     values = tuple(f_value(x, params) for x in range(M))
-    period = M
-    for P in sorted(d for d in range(1, M + 1) if M % d == 0):
-        if all(values[x] == values[x % P] for x in range(M)):
-            period = P
-            break
+    divisors = [1]
+    for p, e in factorize(M):
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    period = next(
+        P for P in sorted(divisors)
+        if all(values[x] == values[x % P] for x in range(M))
+    )
     height = params.height
     if not all(values[x] + values[M - 1 - x] == height for x in range(M)):
         raise InvariantError(f"reflection identity fails for {params}")

@@ -159,6 +159,26 @@ def oracle_ratio_valuation(lam, params, p):
     return total
 
 
+def signature_from_charges(charges, params):
+    """The counts signature of a partition with these M-charges, for
+    balanced params of modulus M, from the sizes of its cores alone: the
+    r-charges are the sums of the M-charges over residue classes mod r,
+    the r-core with charges S has size sum_i (r/2 S_i^2 + i S_i), and under
+    balance N_r = (|lam| - |core_r|) / r leaves
+    sum_delta |core_delta| / delta - sum_gamma |core_gamma| / gamma."""
+    M = len(charges)
+    twice_core = {}
+    for r in set(params.gammas + params.deltas):
+        sums = [sum(charges[i::r]) for i in range(r)]
+        twice_core[r] = sum(r * s * s + 2 * i * s for i, s in enumerate(sums))
+    scaled = sum(M // d * twice_core[d] for d in params.deltas) - sum(
+        M // g * twice_core[g] for g in params.gammas
+    )
+    sig, rem = divmod(scaled, 2 * M)
+    assert rem == 0, (charges, params)
+    return sig
+
+
 def exact_ratio_value(lam, gammas, deltas):
     """The ratio as an exact Fraction of restricted hook products."""
     from hookratio import restricted_hooks
@@ -197,6 +217,12 @@ def partitions_by_size():
 @pytest.fixture(scope="session")
 def balanced_grid():
     return balanced_parameter_grid()
+
+
+@pytest.fixture(scope="session")
+def survey_grid():
+    """The 850 balanced pairs with entries <= 12 and 1 to 4 per side."""
+    return balanced_parameter_grid(max_entry=12)
 
 
 def all_partitions_through(partitions_by_size, n):

@@ -11,6 +11,7 @@ from hookratio import (
     STATUS_INTEGRAL,
     STATUS_UNKNOWN,
     FactoredRatio,
+    InvariantError,
     Partition,
     RatioParams,
     check_divisor_family,
@@ -18,9 +19,12 @@ from hookratio import (
     construct_failing_lambda,
     counts_signature,
     decide,
+    decompose,
+    enumerate_partitions,
     extract_failing_mu,
     find_failing_mu,
     format_partition,
+    is_p_core,
     parse_partition,
     quotient_tower,
     ratio_factored,
@@ -31,13 +35,23 @@ from conftest import (
     all_partitions_through,
     exact_ratio_value,
     oracle_ratio_valuation,
+    signature_from_charges,
     source_env,
 )
+from hookratio.partition import MAX_SIZE_ENV_VAR
 
 SPORADIC = RatioParams((1, 30), (2, 3, 5))
 # first rung of the height 1 witness ladder: a 223,260-cell witness at p = 61
 LADDER_FIRST = RatioParams((35,), (60, 84))
 RECTANGLE = parse_partition("6^5")
+# the pairs of the search benchmark: products of two copies of the height 1
+# exception ((x), (2x, 2x)), all integral
+EXCEPTION_PRODUCTS = [
+    RatioParams((x, y), (2 * x, 2 * x, 2 * y, 2 * y))
+    for x in range(1, 7)
+    for y in range(x, 7)
+    if y != 2 * x
+]
 
 # the printed factorization of the ratio at (66^55) for ((1,30),(2,3,5))
 BIG_FACTORIZATION = {
@@ -231,6 +245,140 @@ class TestFindFailingMu:
     def test_pool_size_is_capped(self, workers, cpus, chunks, size):
         # arithmetic only: no pool is started here
         assert integral_module._pool_size(workers, cpus, chunks) == size
+
+
+def _search_outcome(search, params, bound):
+    """What a search returns, or the message of the ValueError it raises."""
+    try:
+        return search(params, bound, 1)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCoreSearch:
+    """The walk over M-core charge vectors against the enumeration of every
+    partition, which it replaces for balanced params with M within the
+    bound and the enumeration cap."""
+
+    def test_signature_from_charges_matches_counts_signature(
+        self, partitions_by_size, balanced_grid
+    ):
+        by_modulus = {}
+        for params in balanced_grid:
+            by_modulus.setdefault(params.modulus, []).append(params)
+        for lam in all_partitions_through(partitions_by_size, 12):
+            for M, group in by_modulus.items():
+                charges = decompose(lam, M).charges
+                for params in group:
+                    assert signature_from_charges(charges, params) == (
+                        counts_signature(lam, params)
+                    ), (lam, params)
+
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_cores_per_size_match_is_p_core(self, M, monkeypatch):
+        expected = [
+            sum(1 for lam in enumerate_partitions(n) if is_p_core(lam, M))
+            for n in range(15)
+        ]
+        assert integral_module._core_counts(M, 14) == expected
+        # the walk checks its own counts against _core_counts; here it
+        # checks them against the is_p_core counts instead. ((1), (M^M)) is
+        # integral, so the walk runs to the bound
+        monkeypatch.setattr(
+            integral_module, "_core_counts", lambda _, n: expected[: n + 1]
+        )
+        params = RatioParams((1,), (M,) * M)
+        assert integral_module._least_failing_core(params, 14) is None
+
+    def test_count_mismatch_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(
+            integral_module, "_core_counts", lambda _, n: [0] * (n + 1)
+        )
+        with pytest.raises(InvariantError):
+            integral_module._least_failing_core(RatioParams((1, 1), (2, 2, 2, 2)), 6)
+
+    @staticmethod
+    def _assert_matches_enumeration(pairs, bound):
+        checked = 0
+        for params in pairs:
+            if params.modulus <= bound:
+                walked = integral_module._least_failing_mu(params, bound, 1)
+                enumerated = integral_module._enumerate_failing_mu(params, bound, 1)
+                assert walked == enumerated, (params, walked, enumerated)
+                checked += 1
+        return checked
+
+    def test_matches_enumeration_on_grid(self, balanced_grid):
+        assert self._assert_matches_enumeration(balanced_grid, 14) == 120
+
+    def test_matches_enumeration_on_survey_pairs(self, survey_grid):
+        assert len(survey_grid) == 850
+        assert self._assert_matches_enumeration(survey_grid, 16) == 364
+
+    def test_matches_enumeration_on_search_pairs(self):
+        assert len(EXCEPTION_PRODUCTS) == 18
+        assert self._assert_matches_enumeration(EXCEPTION_PRODUCTS, 20) == 13
+
+    def test_matches_enumeration_on_sporadic_at_30(self):
+        assert self._assert_matches_enumeration([SPORADIC], 30) == 1
+        assert integral_module._least_failing_mu(SPORADIC, 30, 1) == (
+            parse_partition("2^6,1^18")
+        )
+
+    def test_enumerates_when_M_exceeds_the_bound_or_cap_or_without_balance(
+        self, monkeypatch
+    ):
+        def walking(params, limit):
+            raise AssertionError(f"the M-core walk ran for {params}")
+
+        monkeypatch.setattr(integral_module, "_least_failing_core", walking)
+        search = integral_module._least_failing_mu
+        assert search(RatioParams((3, 5), (6, 6, 10, 10)), 12, 1) is None
+        assert search(RatioParams((2,), (3,)), 5, 1) == Partition((2, 1))
+        monkeypatch.setenv(MAX_SIZE_ENV_VAR, "8")
+        assert _search_outcome(search, RatioParams((1, 6), (2, 2, 12, 12)), 14) == (
+            "enumeration size 9 exceeds the configured cap 8 "
+            "(set HOOKRATIO_MAX_SIZE to raise it)"
+        )
+
+    @pytest.mark.parametrize("cap", ["-1", "0", "5", "6", "11", "12", "abc"])
+    @pytest.mark.parametrize(
+        "gammas, deltas, bound",
+        [
+            ((1, 1), (2, 2, 2, 2), 8),
+            ((2,), (5, 10, 10, 10), 12),
+            ((1, 6), (2, 3, 4, 12), 14),
+        ],
+    )
+    def test_cap_behaves_as_the_enumeration(
+        self, cap, gammas, deltas, bound, monkeypatch
+    ):
+        # the least failing partitions are empty, 3,2,1 and 4,4,1^4: a cap
+        # below a witness raises, and a cap at or above it returns it
+        monkeypatch.setenv(MAX_SIZE_ENV_VAR, cap)
+        params = RatioParams(gammas, deltas)
+        assert _search_outcome(integral_module._least_failing_mu, params, bound) == (
+            _search_outcome(integral_module._enumerate_failing_mu, params, bound)
+        )
+
+    def test_cap_error_message(self, monkeypatch):
+        monkeypatch.setenv(MAX_SIZE_ENV_VAR, "5")
+        with pytest.raises(ValueError) as exc:
+            decide(RatioParams((1, 1), (2, 2, 2, 2)), 8)
+        assert str(exc.value) == (
+            "enumeration size 6 exceeds the configured cap 5 "
+            "(set HOOKRATIO_MAX_SIZE to raise it)"
+        )
+
+    def test_decide_enumerates_no_partition_when_M_is_within_bound(
+        self, monkeypatch
+    ):
+        def enumerating(n):
+            raise AssertionError(f"partitions of {n} were enumerated")
+
+        monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
+        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 28)
+        assert verdict.status == STATUS_UNKNOWN
 
 
 class TestConstructFailingLambda:

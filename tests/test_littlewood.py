@@ -269,6 +269,25 @@ class TestTowers:
                             levels[len(w) - 1].append(tower.label(w))
                     assert list(iter_tower_levels(lam, p)) == levels
 
+    def test_levels_are_built_on_request(self, monkeypatch):
+        # reading level 1 decomposes only the root; level 2 is built from
+        # the level-1 labels when it is asked for
+        import hookratio.littlewood as littlewood_module
+
+        calls = []
+        real = littlewood_module.decompose
+
+        def counted(lam, p):
+            calls.append(lam)
+            return real(lam, p)
+
+        monkeypatch.setattr(littlewood_module, "decompose", counted)
+        levels = iter_tower_levels(parse_partition("66^55"), 11)
+        assert next(levels) == [parse_partition("6^5")] * 11
+        assert len(calls) == 1
+        assert list(levels) == []
+        assert len(calls) == 12
+
     def test_serialization(self):
         # the core of the quotient label (2) is (2) itself, so the words 0
         # and 2.1 carry nonempty labels too

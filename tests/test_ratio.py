@@ -113,6 +113,19 @@ class TestFTable:
                         for x in range(table.M)
                     )
 
+    def test_period_matches_scan_of_every_divisor(self, balanced_grid, survey_grid):
+        # the period from the divisors of factorize(M) is the first period
+        # found by trying every d in 1..M that divides M
+        for params in balanced_grid + survey_grid:
+            table = build_ftable(params)
+            M = table.M
+            scanned = next(
+                d for d in range(1, M + 1)
+                if M % d == 0
+                and all(table.values[x] == table.values[x % d] for x in range(M))
+            )
+            assert table.period == scanned, params
+
     def test_json_schema(self):
         payload = build_ftable(CHEBYSHEV).to_json_dict()
         assert sorted(payload) == ["M", "P", "max", "min", "values"]
