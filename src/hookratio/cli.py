@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable
 from math import gcd
 
 from . import __version__
@@ -20,7 +21,6 @@ from .height1 import (
     sumset,
 )
 from .integral import (
-    Verdict,
     check_multinomial,
     construct_failing_lambda,
     counts_signature,
@@ -38,7 +38,6 @@ from .littlewood import (
     quotient_tower,
 )
 from .partition import (
-    Partition,
     format_partition,
     from_boundary,
     hook_multiset,
@@ -64,13 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
-
-
-def _partition_arg(text: str) -> Partition:
-    try:
-        return parse_partition(text)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -102,14 +94,7 @@ def _params_from_file(path: str) -> RatioParams:
         raise CliInputError(f"cannot read {path}: {exc}") from None
     if gammas is None or deltas is None:
         raise CliInputError(f"{path} must define both gamma: and delta: lines")
-    return _build_params(gammas, deltas)
-
-
-def _build_params(gammas, deltas) -> RatioParams:
-    try:
-        return RatioParams(tuple(gammas), tuple(deltas))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    return RatioParams(gammas, deltas)
 
 
 def _params_arg(args) -> RatioParams:
@@ -117,113 +102,93 @@ def _params_arg(args) -> RatioParams:
         return _params_from_file(args.params)
     if args.gamma is None or args.delta is None:
         raise CliInputError("provide --gamma and --delta, or --params FILE")
-    return _build_params(_int_list(args.gamma), _int_list(args.delta))
+    return RatioParams(_int_list(args.gamma), _int_list(args.delta))
 
 
-def _verdict_output(verdict: Verdict, args) -> int:
-    if args.json:
-        _emit(verdict.to_json_dict())
-    else:
-        print(f"verdict: {verdict.status}")
-        if verdict.witness is not None:
-            w = verdict.witness
-            print(f"  mu     = {format_partition(w.mu) or '()'}")
-            print(f"  p      = {w.p}")
-            print(f"  lambda = {format_partition(w.lam)}")
-            print(f"  valuation at p: {verdict.valuation_at_p}")
-        if verdict.bound is not None:
-            print(f"  searched sizes up to {verdict.bound}")
-    return verdict.exit_code
+# What each handler returns: the exit code, the JSON payload, and a
+# zero-argument callable yielding the text lines, so that --json formats
+# none of them. Only run() writes the result.
+_Result = tuple[int, dict, Callable[[], Iterable[str]]]
 
 
-def _cmd_hooks(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_hooks(args) -> _Result:
+    lam = parse_partition(args.partition)
     hooks = hook_multiset(lam)
-    if args.json:
-        _emit(
-            {
-                "partition": format_partition(lam),
-                "size": lam.size,
-                "hooks": {str(h): hooks[h] for h in sorted(hooks)},
-            },
-        )
-        return 0
-    diagram = render_hook_diagram(lam)
-    print(diagram if diagram else "(empty partition)")
-    flat = sorted(hooks.elements(), reverse=True)
-    print(f"hooks: {' '.join(map(str, flat)) if flat else '(none)'}")
-    return 0
+    payload = {
+        "partition": format_partition(lam),
+        "size": lam.size,
+        "hooks": {str(h): hooks[h] for h in sorted(hooks)},
+    }
+
+    def text():
+        diagram = render_hook_diagram(lam)
+        yield diagram if diagram else "(empty partition)"
+        flat = sorted(hooks.elements(), reverse=True)
+        yield f"hooks: {' '.join(map(str, flat)) if flat else '(none)'}"
+
+    return 0, payload, text
 
 
-def _cmd_boundary(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_boundary(args) -> _Result:
+    lam = parse_partition(args.partition)
     b = to_boundary(lam)
-    if args.json:
-        _emit(
-            {
-                "partition": format_partition(lam),
-                "window": "".join(map(str, b.window)),
-                "offset": b.offset,
-                "interior_zeros": [i for i in b.zero_positions() if i >= 0],
-                "rendered": b.render(),
-                "centered": b.is_centered(),
-            },
-        )
-        return 0
-    print(b.render())
-    print(f"round trip: {format_partition(from_boundary(b)) or '()'}")
-    return 0
+    payload = {
+        "partition": format_partition(lam),
+        "window": "".join(map(str, b.window)),
+        "offset": b.offset,
+        "interior_zeros": [i for i in b.zero_positions() if i >= 0],
+        "rendered": b.render(),
+        "centered": b.is_centered(),
+    }
+    return 0, payload, lambda: [
+        payload["rendered"],
+        f"round trip: {format_partition(from_boundary(b)) or '()'}",
+    ]
 
 
-def _cmd_decompose(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_decompose(args) -> _Result:
+    lam = parse_partition(args.partition)
     dec = decompose(lam, args.p)
-    if args.json:
-        _emit(
-            {
-                "partition": format_partition(lam),
-                "p": dec.p,
-                "core": format_partition(dec.core),
-                "quotients": [format_partition(q) for q in dec.quotients],
-                "charges": list(dec.charges),
-                "size": lam.size,
-                "core_size": dec.core.size,
-                "quotient_sizes": [q.size for q in dec.quotients],
-            },
+    payload = {
+        "partition": format_partition(lam),
+        "p": dec.p,
+        "core": format_partition(dec.core),
+        "quotients": [format_partition(q) for q in dec.quotients],
+        "charges": list(dec.charges),
+        "size": lam.size,
+        "core_size": dec.core.size,
+        "quotient_sizes": [q.size for q in dec.quotients],
+    }
+
+    def text():
+        yield f"core: {payload['core'] or '()'}"
+        for j, q in enumerate(payload["quotients"]):
+            yield f"quotient {j}: {q or '()'}  (charge {dec.charges[j]:+d})"
+        yield (
+            f"size identity: {lam.size} = {dec.core.size} "
+            f"+ {dec.p} * {dec.total_quotient_size()}"
         )
-        return 0
-    print(f"core: {format_partition(dec.core) or '()'}")
-    for j, q in enumerate(dec.quotients):
-        print(f"quotient {j}: {format_partition(q) or '()'}  (charge {dec.charges[j]:+d})")
-    print(
-        f"size identity: {lam.size} = {dec.core.size} "
-        f"+ {dec.p} * {dec.total_quotient_size()}"
-    )
-    return 0
+
+    return 0, payload, text
 
 
-def _cmd_compose(args) -> int:
-    core = _partition_arg(args.core)
+def _cmd_compose(args) -> _Result:
+    core = parse_partition(args.core)
     quotients = [
-        _partition_arg(tok) for tok in (args.quotients or "").split(";")
+        parse_partition(tok) for tok in (args.quotients or "").split(";")
     ]
     lam = compose(core, quotients, args.p)
-    if args.json:
-        _emit(
-            {
-                "p": args.p,
-                "core": format_partition(core),
-                "quotients": [format_partition(q) for q in quotients],
-                "partition": format_partition(lam),
-            },
-        )
-        return 0
-    print(format_partition(lam) or "()")
-    return 0
+    payload = {
+        "p": args.p,
+        "core": format_partition(core),
+        "quotients": [format_partition(q) for q in quotients],
+        "partition": format_partition(lam),
+    }
+    return 0, payload, lambda: [payload["partition"] or "()"]
 
 
-def _cmd_tower(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_tower(args) -> _Result:
+    lam = parse_partition(args.partition)
     tower = (
         core_tower(lam, args.p) if args.kind == "core" else quotient_tower(lam, args.p)
     )
@@ -233,117 +198,107 @@ def _cmd_tower(args) -> int:
         "kind": args.kind,
         "labels": tower.to_json_dict(),
     }
-    if args.json:
-        _emit(payload)
-        return 0
-    for word, label in payload["labels"].items():
-        print(f"{word or '(root)'}: {label or '()'}")
-    return 0
+    return 0, payload, lambda: (
+        f"{word or '(root)'}: {label or '()'}"
+        for word, label in payload["labels"].items()
+    )
 
 
-def _cmd_ratio(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_ratio(args) -> _Result:
+    lam = parse_partition(args.partition)
     params = _params_arg(args)
     fr = ratio_factored(lam, params)
-    if args.json:
-        payload = {"partition": format_partition(lam)}
-        payload.update(fr.to_json_dict())
-        _emit(payload)
-    else:
-        print(str(fr))
-    return 0 if fr.is_integral else 1
+    payload = {"partition": format_partition(lam), **fr.to_json_dict()}
+    return 0 if fr.is_integral else 1, payload, lambda: [str(fr)]
 
 
-def _cmd_ftable(args) -> int:
-    params = _params_arg(args)
-    table = build_ftable(params)
-    if args.json:
-        _emit(table.to_json_dict())
-        return 0
-    print(f"M = {table.M}, P = {table.period}, min = {table.min}, max = {table.max}")
-    print("x:    " + " ".join(f"{x:>2}" for x in range(table.M)))
-    print("f(x): " + " ".join(f"{v:>2}" for v in table.values))
-    return 0
+def _cmd_ftable(args) -> _Result:
+    table = build_ftable(_params_arg(args))
+
+    def text():
+        yield f"M = {table.M}, P = {table.period}, min = {table.min}, max = {table.max}"
+        yield "x:    " + " ".join(f"{x:>2}" for x in range(table.M))
+        yield "f(x): " + " ".join(f"{v:>2}" for v in table.values)
+
+    return 0, table.to_json_dict(), text
 
 
-def _cmd_check(args) -> int:
-    params = _params_arg(args)
-    verdict = decide(params, args.bound, workers=args.workers)
-    return _verdict_output(verdict, args)
+def _cmd_check(args) -> _Result:
+    verdict = decide(_params_arg(args), args.bound, workers=args.workers)
+    payload = verdict.to_json_dict()
+
+    def text():
+        yield f"verdict: {verdict.status}"
+        if payload["witness"] is not None:
+            w = payload["witness"]
+            yield f"  mu     = {w['mu'] or '()'}"
+            yield f"  p      = {w['p']}"
+            yield f"  lambda = {w['lambda']}"
+            yield f"  valuation at p: {verdict.valuation_at_p}"
+        if verdict.bound is not None:
+            yield f"  searched sizes up to {verdict.bound}"
+
+    return verdict.exit_code, payload, text
 
 
-def _cmd_search_mu(args) -> int:
+def _cmd_search_mu(args) -> _Result:
     params = _params_arg(args)
     mu = find_failing_mu(
         params, args.bound, hooks_only=args.hooks_only, workers=args.workers
     )
-    if args.json:
-        _emit(
-            {
-                "gamma": list(params.gammas),
-                "delta": list(params.deltas),
-                "bound": args.bound,
-                "hooks_only": args.hooks_only,
-                "mu": None if mu is None else format_partition(mu),
-                "signature": None if mu is None else counts_signature(mu, params),
-            },
-        )
-    else:
-        if mu is None:
-            print("no failing partition found")
-        else:
-            print(f"mu = {format_partition(mu)}  (signature {counts_signature(mu, params)})")
-    return 0 if mu is None else 1
+    payload = {
+        "gamma": list(params.gammas),
+        "delta": list(params.deltas),
+        "bound": args.bound,
+        "hooks_only": args.hooks_only,
+        "mu": None if mu is None else format_partition(mu),
+        "signature": None if mu is None else counts_signature(mu, params),
+    }
+    return 0 if mu is None else 1, payload, lambda: [
+        "no failing partition found"
+        if mu is None
+        else f"mu = {payload['mu']}  (signature {payload['signature']})"
+    ]
 
 
-def _cmd_construct_lambda(args) -> int:
-    mu = _partition_arg(args.mu)
+def _cmd_construct_lambda(args) -> _Result:
+    mu = parse_partition(args.mu)
     params = _params_arg(args)
     p, lam = construct_failing_lambda(mu, params)
     vp = ratio_valuation(lam, params, p)
-    if args.json:
-        _emit(
-            {
-                "mu": format_partition(mu),
-                "gamma": list(params.gammas),
-                "delta": list(params.deltas),
-                "p": p,
-                "lambda": format_partition(lam),
-                "valuation_at_p": vp,
-            },
-        )
-    else:
-        print(f"p = {p}")
-        print(f"lambda = {format_partition(lam)}")
-        print(f"valuation at {p}: {vp}")
-    return 0
+    payload = {
+        "mu": format_partition(mu),
+        "gamma": list(params.gammas),
+        "delta": list(params.deltas),
+        "p": p,
+        "lambda": format_partition(lam),
+        "valuation_at_p": vp,
+    }
+    return 0, payload, lambda: [
+        f"p = {p}",
+        f"lambda = {payload['lambda']}",
+        f"valuation at {p}: {vp}",
+    ]
 
 
-def _cmd_extract_mu(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_extract_mu(args) -> _Result:
+    lam = parse_partition(args.partition)
     params = _params_arg(args)
     mu = extract_failing_mu(lam, params, args.p)
-    if args.json:
-        _emit(
-            {
-                "lambda": format_partition(lam),
-                "p": args.p,
-                "mu": format_partition(mu),
-                "signature": counts_signature(mu, params),
-            },
-        )
-    else:
-        print(f"mu = {format_partition(mu)}  (signature {counts_signature(mu, params)})")
-    return 0
+    payload = {
+        "lambda": format_partition(lam),
+        "p": args.p,
+        "mu": format_partition(mu),
+        "signature": counts_signature(mu, params),
+    }
+    return 0, payload, lambda: [
+        f"mu = {payload['mu']}  (signature {payload['signature']})"
+    ]
 
 
-def _cmd_height1(args) -> int:
+def _cmd_height1(args) -> _Result:
     params = _params_arg(args)
-    try:
-        verdict = decide_height1(params)
-    except Height1ContradictionError as exc:
-        print(f"diagnostic: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    verdict = decide_height1(params)
     try:
         sets = period_sets(params)
     except ValueError:
@@ -360,46 +315,41 @@ def _cmd_height1(args) -> int:
             sumset_missing=sorted(set(range(sets.P)) - report.sumset),
         )
     payload.update(verdict=verdict.status, witness=witness)
-    if args.json:
-        _emit(payload)
-    else:
+
+    def text():
         if sets is not None:
-            print(f"P = {sets.P}")
-            print(f"A0 = {sorted(sets.A0)}")
-            print(f"Y  = {sorted(sets.Y)}")
-            print(f"A0 + A0 misses {payload['sumset_missing']}")
+            yield f"P = {sets.P}"
+            yield f"A0 = {payload['A0']}"
+            yield f"Y  = {payload['Y']}"
+            yield f"A0 + A0 misses {payload['sumset_missing']}"
         else:
-            print("one-row check fails; level sets undefined")
-        print(f"verdict: {verdict.status}")
+            yield "one-row check fails; level sets undefined"
+        yield f"verdict: {verdict.status}"
         if witness:
-            print(f"  mu = {witness['mu']}, p = {witness['p']}, lambda = {witness['lambda']}")
-    return verdict.exit_code
+            yield f"  mu = {witness['mu']}, p = {witness['p']}, lambda = {witness['lambda']}"
+
+    return verdict.exit_code, payload, text
 
 
-def _cmd_multinomial(args) -> int:
-    lam = _partition_arg(args.partition)
+def _cmd_multinomial(args) -> _Result:
+    lam = parse_partition(args.partition)
     if args.s < 1 or args.t < 1:
         raise CliInputError("s and t must be positive")
     ok = check_multinomial(lam, args.s, args.t)
     margin = hook_count_divisible(lam, args.s) - args.t * hook_count_divisible(
         lam, args.s * args.t
     )
-    if args.json:
-        _emit(
-            {
-                "partition": format_partition(lam),
-                "s": args.s,
-                "t": args.t,
-                "count_margin": margin,
-                "integral": ok,
-            },
-        )
-    else:
-        print(f"count margin: {margin}, integral: {ok}")
-    return 0 if ok else 1
+    payload = {
+        "partition": format_partition(lam),
+        "s": args.s,
+        "t": args.t,
+        "count_margin": margin,
+        "integral": ok,
+    }
+    return 0 if ok else 1, payload, lambda: [f"count margin: {margin}, integral: {ok}"]
 
 
-def _cmd_bober_scan(args) -> int:
+def _cmd_bober_scan(args) -> _Result:
     instances = []
     for x in range(1, args.bound + 1):
         for y in range(1, args.bound + 1):
@@ -427,16 +377,16 @@ def _cmd_bober_scan(args) -> int:
                 if verdict.witness is not None:
                     entry["witness"] = verdict.witness.to_json_dict()
                 instances.append(entry)
-    if args.json:
-        _emit({"bound": args.bound, "instances": instances})
-    else:
+
+    def text():
         for e in instances:
             head = f"family {e['family']} (x={e['x']}, y={e['y']}): {tuple(e['alpha'])} / {tuple(e['beta'])}"
             if "skipped" in e:
-                print(f"{head}  [skipped: {e['skipped']}]")
+                yield f"{head}  [skipped: {e['skipped']}]"
             else:
-                print(f"{head}  ->  {tuple(e['gamma'])} / {tuple(e['delta'])}: {e['status']}")
-    return 0
+                yield f"{head}  ->  {tuple(e['gamma'])} / {tuple(e['delta'])}: {e['status']}"
+
+    return 0, {"bound": args.bound, "instances": instances}, text
 
 
 def _add_params_options(sub) -> None:
@@ -525,11 +475,20 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.handler(args)
+        code, payload, text = args.handler(args)
+        if args.json:
+            _emit(payload)
+        else:
+            for line in text():
+                print(line)
+        return code
     except ValueError as exc:
         # CliInputError and any domain-level rejection (bad modulus, wrong
         # height, unbalanced parameters) are input errors to the shell
         print(f"hookratio: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except Height1ContradictionError as exc:
+        print(f"diagnostic: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -601,6 +601,8 @@ def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
     """
     if not params.is_balanced:
         raise ValueError(f"parameters {params} are not balanced")
+    if size_bound < 0:
+        raise ValueError("size bound must be nonnegative")
     if _certified_by_theorem(params):
         return Verdict(params, STATUS_INTEGRAL, bound=size_bound)
     # the bounded scan inside find_failing_mu is a subset of this one

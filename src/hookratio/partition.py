@@ -302,19 +302,15 @@ class BoundarySequence:
         )
 
     def charge(self) -> int:
-        """Count of zeros at indices >= 0 minus count of ones at indices < 0."""
-        zeros_nonneg = sum(
-            1 for k, b in enumerate(self.window) if b == 0 and k + self.offset >= 0
-        )
-        if self.offset > 0:
-            zeros_nonneg += self.offset
-        ones_neg = sum(
-            1 for k, b in enumerate(self.window) if b == 1 and k + self.offset < 0
-        )
-        end = self.offset + len(self.window)
-        if end < 0:
-            ones_neg += -end
-        return zeros_nonneg - ones_neg
+        """Count of zeros at indices >= 0 minus count of ones at indices < 0.
+
+        Proof of the closed form: outside [lo, hi) = [min(offset, 0),
+        max(end, 0)) lie only zeros below 0 and ones at or above 0, which
+        count for nothing; inside, the ones below 0 are -lo less the zeros
+        there, so the charge is (zeros in [lo, hi)) + lo
+        = (offset - lo + window.count(0)) + lo.
+        """
+        return self.offset + self.window.count(0)
 
     def is_centered(self) -> bool:
         return self.charge() == 0

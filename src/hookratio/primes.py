@@ -28,7 +28,9 @@ def next_prime_above(n: int) -> int:
     return candidate
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a long run cannot grow it without limit. It stays an lru_cache
+# because bench/child.py reads its cache_info().
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
     if n < 1:

@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -54,6 +54,26 @@ def test_trimming_makes_equal_sequences_equal():
 def test_charge_of_pure_shifts():
     for c in range(-3, 4):
         assert BoundarySequence((), c).charge() == c
+
+
+def charge_by_definition(b, lo, hi):
+    # zeros at indices >= 0 minus ones at indices < 0, over [lo, hi)
+    return sum(
+        (b.value(i) == 0 and i >= 0) - (b.value(i) == 1 and i < 0)
+        for i in range(lo, hi)
+    )
+
+
+@given(st.lists(st.integers(0, 1), max_size=12), st.integers(-20, 20))
+@example([1, 0, 1, 0], 5)  # the window starts above 0
+@example([0, 1, 0, 1], -9)  # the window ends below 0
+@settings(max_examples=200)
+def test_charge_matches_definition(window, offset):
+    b = BoundarySequence(window, offset)
+    # every index that can count lies within [min(offset, 0), max(end, 0))
+    lo = min(offset, 0) - 3
+    hi = max(offset + len(window), 0) + 3
+    assert b.charge() == charge_by_definition(b, lo, hi)
 
 
 def test_roundtrip_all_small():

@@ -562,6 +562,15 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(RatioParams((2,), (3,)), 10)
 
+    @pytest.mark.parametrize(
+        "gammas, deltas",
+        # certified by the whitelist, failing by a hook shape, and searched
+        [((1,), (2, 2)), ((1, 30), (2, 3, 5)), ((1, 1), (2, 2, 2, 2))],
+    )
+    def test_negative_bound_rejected(self, gammas, deltas):
+        with pytest.raises(ValueError, match="size bound must be nonnegative"):
+            decide(RatioParams(gammas, deltas), -1)
+
     def test_json_schema(self):
         payload = decide(SPORADIC, 30).to_json_dict()
         assert sorted(payload) == [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hookratio.ratio as ratio_module
 from hookratio import (
     RatioParams,
     bober_families,
@@ -15,6 +16,7 @@ from hookratio import (
     landau_one_row_check,
     phi_bijection,
 )
+from hookratio.primes import factorize
 
 CHEBYSHEV = RatioParams((30, 1), (2, 3, 5))
 PAPER_ROW = (
@@ -54,6 +56,20 @@ class TestRatioParams:
     def test_repeated_entries_on_one_side_allowed(self):
         p = RatioParams((1,), (2, 2))
         assert p.is_balanced and p.height == 1
+
+    def test_balance_is_computed_once(self, monkeypatch):
+        balanced, unbalanced = CHEBYSHEV, RatioParams((2,), (3,))
+
+        def no_fractions(*args):
+            raise AssertionError("is_balanced rebuilt its reciprocal sums")
+
+        monkeypatch.setattr(ratio_module, "Fraction", no_fractions)
+        assert balanced.is_balanced and not unbalanced.is_balanced
+
+    def test_balance_takes_no_part_in_equality_or_repr(self):
+        p, q = RatioParams((2, 3), (4, 4, 6, 6)), RatioParams((2, 3), (4, 4, 6, 6))
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == "RatioParams(gammas=(2, 3), deltas=(4, 4, 6, 6))"
 
 
 class TestStepFunction:
@@ -125,6 +141,11 @@ class TestFTable:
                 and all(table.values[x] == table.values[x % d] for x in range(M))
             )
             assert table.period == scanned, params
+
+    @pytest.mark.parametrize("memo", [build_ftable, factorize])
+    def test_memo_is_bounded(self, memo):
+        # bounded, and still large enough for all 850 survey pairs
+        assert 850 <= memo.cache_info().maxsize < float("inf")
 
     def test_json_schema(self):
         payload = build_ftable(CHEBYSHEV).to_json_dict()
