@@ -224,7 +224,7 @@ def _cmd_ftable(args) -> _Result:
 
 
 def _cmd_check(args) -> _Result:
-    verdict = decide(_params_arg(args), args.bound, workers=args.workers)
+    verdict = decide(_params_arg(args), args.bound)
     payload = verdict.to_json_dict()
 
     def text():
@@ -437,7 +437,6 @@ def build_parser() -> _Parser:
     s = verb("check", _cmd_check, "decide integrality for balanced parameters")
     _add_params_options(s)
     s.add_argument("--bound", type=int, default=20, help="exhaustive search size cap")
-    s.add_argument("--workers", type=int, default=1, help="search fan-out")
 
     s = verb("search-mu", _cmd_search_mu, "search for a negative signature partition")
     _add_params_options(s)

@@ -57,16 +57,21 @@ are those of `littlewood.decompose`):
    least |s|, so the least cost of the remaining coordinates for each sum
    is a finite table, built once, and a prefix is cut as soon as its cost
    plus that least cost exceeds the budget.
+6. Live coordinates. With p = M, t_j(1) = 2j + 1, t_j(-1) = 2M - 2j - 1,
+   t_j(x) - t_j(1) = (x - 1)(Mx + 2j + 1) >= 0 for x >= 1, and
+   t_j(x) - t_j(-1) = (x + 1)(Mx - 2M + 2j + 1) >= 0 for x <= -1, where
+   both factors are <= 0 as 2j + 1 < 3M. So, every t_j being >= 0 (by 5),
+   within a budget of 2 * limit only the j < limit and the j >= M - limit
+   can have c_j != 0: at most 2 * limit coordinates, for any M.
 
-The walk is a branch and bound on the smallest failing size: a failing
-core lowers the budget to its own size, and the failing cores of the final
-size are assembled and compared. It counts the cores it visits per size and
-checks the counts against the M-core generating function prod_k (1 -
-q^(Mk))^M / (1 - q^k), so a walk that missed a core raises InvariantError
-instead of reporting a clean search. For M above the bound (or the
-enumeration cap) every partition in range is an M-core, its hooks being
-all shorter than M, and without balance fact 1 keeps a |lam| term, so those
-searches still enumerate every partition.
+The walk is a branch and bound on the smallest failing size over the live
+coordinates: a failing core lowers the budget to its own size, and the
+failing cores of the final size are assembled and compared. It checks the
+number of cores it visits per size against the M-core generating function
+prod_k (1 - q^(Mk))^M / (1 - q^k), which is p(n) for n < M, so a walk that
+missed a core raises InvariantError instead of reporting a clean search.
+Without balance fact 1 keeps a |lam| term, so that search enumerates every
+partition.
 """
 
 from __future__ import annotations
@@ -281,8 +286,6 @@ def _enumerate_failing_mu(
     among those of the smallest failing size up to the bound, found by
     enumerating every partition of each size; independent of the worker
     count."""
-    if size_bound < 0:
-        raise ValueError("size bound must be nonnegative")
     pool = None
     try:
         for n in range(size_bound + 1):
@@ -336,26 +339,29 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     A depth-first walk over the charge vectors c (sum 0) with 2|core| =
     sum_j t_j(c_j) <= 2 * limit, carrying the r-charges and 2M sig as in
     the module docstring; see there for why this equals the search over
-    every partition.
+    every partition and why only the live coordinates (fact 6) can move.
     """
     M = params.modulus
     top = 2 * limit
+    live = [j for j in range(M) if j < limit or j >= M - limit]
+    n = len(live)
     weight = Counter(params.deltas)
     weight.subtract(params.gammas)
     terms = [(w * (M // r), r, [0] * r) for r, w in weight.items() if r > 1 and w]
-    # coordinate j moves residue j mod r of each r-charge vector
-    updates = [[(w, r, j % r, S) for w, r, S in terms] for j in range(M)]
-    # rest[j][top + s]: least cost of the coordinates j.. when they sum to
-    # s; by the pruning lemma |s| <= cost, so the range [-top, top] holds
-    # every sum within budget, and top + 1 stands for out of budget
-    rest = [[top + 1] * (2 * top + 1) for _ in range(M + 1)]
-    rest[M][top] = 0
-    for j in range(M - 1, -1, -1):
+    # live coordinate j moves residue j mod r of each r-charge vector
+    updates = [[(w, r, j % r, S) for w, r, S in terms] for j in live]
+    # rest[i][top + s]: least cost of the live coordinates i.. when they
+    # sum to s; by the pruning lemma |s| <= cost, so the range [-top, top]
+    # holds every sum within budget, and top + 1 stands for out of budget
+    rest = [[top + 1] * (2 * top + 1) for _ in range(n + 1)]
+    rest[n][top] = 0
+    for i in range(n - 1, -1, -1):
+        j = live[i]
         moves = [
             (x, t) for x in range(-top, top + 1)
             if (t := M * x * x + (2 * j - M + 1) * x) <= top
         ]
-        row, below = rest[j], rest[j + 1]
+        row, below = rest[i], rest[i + 1]
         for k in range(2 * top + 1):
             row[k] = min(
                 [t + below[k - x] for x, t in moves if 0 <= k - x <= 2 * top],
@@ -366,9 +372,9 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     budget = top
     failing: list[tuple[int, ...]] = []
 
-    def visit(j: int, s: int, cost: int, sig: int) -> None:
+    def visit(i: int, s: int, cost: int, sig: int) -> None:
         nonlocal budget, failing
-        if j == M:
+        if i == n:
             size = cost // 2
             visited[size] += 1
             if sig < 0:
@@ -376,21 +382,22 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
                     budget, failing = cost, []
                 failing.append(tuple(c))
             return
+        j = live[i]
         lin = 2 * j - M + 1
-        below = rest[j + 1]
+        below = rest[i + 1]
         for x, step in ((0, 1), (-1, -1)):
             while (t := cost + M * x * x + lin * x) <= budget:
                 k = top - s - x
                 if 0 <= k <= 2 * top and t + below[k] <= budget:
                     d = 0
-                    for w, r, i, S in updates[j]:
-                        v = S[i]
-                        d += w * (r * (2 * v + x) * x + 2 * i * x)
-                        S[i] = v + x
+                    for w, r, a, S in updates[i]:
+                        v = S[a]
+                        d += w * (r * (2 * v + x) * x + 2 * a * x)
+                        S[a] = v + x
                     c[j] = x
-                    visit(j + 1, s + x, t, sig + d)
-                    for w, r, i, S in updates[j]:
-                        S[i] -= x
+                    visit(i + 1, s + x, t, sig + d)
+                    for w, r, a, S in updates[i]:
+                        S[a] -= x
                 x += step
 
     visit(0, 0, 0, 0)
@@ -403,28 +410,18 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     return min((_assemble([EMPTY] * M, v, M) for v in failing), default=None)
 
 
-def _least_failing_mu(
-    params: RatioParams, size_bound: int, workers: int
-) -> Partition | None:
+def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     """Lexicographically least partition with negative counts signature
-    among those of the smallest failing size up to the bound.
+    among those of the smallest failing size up to the bound, for balanced
+    params, found by the M-core walk whatever M is.
 
     The search stops at the enumeration cap, read up front, and raises the
-    cap error when the bound lies beyond it and nothing was found. For
-    balanced parameters with M within both, it walks the M-cores; every
-    other search enumerates every partition, and only that fans out over
-    workers. With M above the bound or the cap, every partition in range
-    is an M-core anyway.
+    cap error when the bound lies beyond it and nothing was found.
     """
-    if size_bound < 0:
-        raise ValueError("size bound must be nonnegative")
-    if not params.is_balanced:
-        return _enumerate_failing_mu(params, size_bound, workers)
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
-    if params.modulus > limit:
-        return _enumerate_failing_mu(params, size_bound, workers)
-    mu = _least_failing_core(params, limit)
+    # a negative cap admits not even the empty partition
+    mu = _least_failing_core(params, limit) if limit >= 0 else None
     if mu is None and size_bound > cap:
         raise enumeration_cap_error(cap + 1, cap)
     return mu
@@ -440,22 +437,23 @@ def find_failing_mu(
 
     With hooks_only, only hook shapes are scanned through the period table
     (no size restriction; this is a complete decision at height 1 and a
-    heuristic otherwise) and balance is required. The full search tries
-    hook shapes within the bound first, then searches every size up to the
-    bound (the M-cores, or every partition; see _least_failing_mu),
-    returning the lexicographically least witness of the smallest failing
-    size. The result is independent of the worker count.
+    heuristic otherwise) and balance is required. The full search returns
+    the lexicographically least witness of the smallest failing size up to
+    the bound: for balanced params it tries hook shapes within the bound,
+    then walks the M-cores; otherwise it enumerates every partition, the
+    one search that fans out over workers, independently of their count.
     """
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
     if hooks_only:
         found = _hook_shape_scan(params)
         return construct_hook_partition(*found) if found else None
-    if params.is_balanced:
-        found = _hook_shape_scan(params, max_size=size_bound)
-        if found:
-            return construct_hook_partition(*found)
-    return _least_failing_mu(params, size_bound, workers)
+    if not params.is_balanced:
+        return _enumerate_failing_mu(params, size_bound, workers)
+    found = _hook_shape_scan(params, max_size=size_bound)
+    if found:
+        return construct_hook_partition(*found)
+    return _least_failing_mu(params, size_bound)
 
 
 def construct_failing_lambda(
@@ -472,7 +470,8 @@ def construct_failing_lambda(
     sig = counts_signature(mu, params)
     if sig >= 0:
         raise ValueError(
-            f"counts signature of {mu!r} is {sig}; a negative signature is required"
+            f"counts signature of {format_partition(mu) or '()'} is {sig}; "
+            "a negative signature is required"
         )
     p = next_prime_above(largest_hook(mu))
     lam = compose(Partition(), [mu] * p, p)
@@ -492,7 +491,8 @@ def extract_failing_mu(lam: Partition, params: RatioParams, p: int) -> Partition
     vp = ratio_valuation(lam, params, p)
     if vp >= 0:
         raise ValueError(
-            f"ratio at {lam!r} has exponent {vp} at {p}; nothing to extract"
+            f"ratio at {format_partition(lam) or '()'} has exponent {vp} at {p}; "
+            "nothing to extract"
         )
     for word, label, _ in _walk(lam, p):
         if word and counts_signature(label, params) < 0:
@@ -584,20 +584,21 @@ def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Ve
     expected = p * counts_signature(mu, params)
     if vp != expected or vp >= 0:
         raise InvariantError(
-            f"witness {mu!r} at p = {p} has valuation {vp}, expected {expected} < 0"
+            f"witness {format_partition(mu) or '()'} at p = {p} has valuation {vp}, "
+            f"expected {expected} < 0"
         )
     return Verdict(params, STATUS_FAILS, Witness(mu, p, lam), bound, vp)
 
 
-def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
+def decide(params: RatioParams, size_bound: int) -> Verdict:
     """Decide integrality of the ratio for balanced parameters.
 
     Returns Integral-Certified when a covering theorem applies, Fails with
     a re-verified witness triple when a negative-signature partition turns
     up (hook shapes over the full period grid first, then every partition
-    up to the size bound, through its M-core when M is within the bound),
-    and Unknown-UpToBound otherwise. The tool never
-    certifies beyond the whitelist: a clean search is not a proof.
+    up to the size bound, through its M-core), and Unknown-UpToBound
+    otherwise. The tool never certifies beyond the whitelist: a clean
+    search is not a proof.
     """
     if not params.is_balanced:
         raise ValueError(f"parameters {params} are not balanced")
@@ -610,7 +611,7 @@ def decide(params: RatioParams, size_bound: int, workers: int = 1) -> Verdict:
     if found is not None:
         mu = construct_hook_partition(*found)
     else:
-        mu = _least_failing_mu(params, size_bound, workers)
+        mu = _least_failing_mu(params, size_bound)
     if mu is not None:
         return _verified_fails(params, mu, size_bound)
     return Verdict(params, STATUS_UNKNOWN, bound=size_bound)

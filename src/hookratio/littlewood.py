@@ -111,7 +111,7 @@ def compose(core: Partition, quotients: Sequence[Partition], p: int) -> Partitio
         raise ValueError(f"expected {p} quotients, got {len(quotients)}")
     dec = decompose(core, p)
     if any(dec.quotients):
-        raise ValueError(f"{core!r} is not a {p}-core")
+        raise ValueError(f"{format_partition(core) or '()'} is not a {p}-core")
     return _assemble(quotients, dec.charges, p)
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import hookratio.integral as integral_module
 from hookratio.cli import run
 
 from conftest import source_env
@@ -161,15 +162,13 @@ class TestCheckVerb:
         code, out, _ = invoke(capsys, "check", "--params", str(path), "--json")
         assert code == 0 and json.loads(out)["status"] == "Integral-Certified"
 
-    def test_byte_identical_across_workers(self, capsys):
-        outputs = []
-        for workers in ("1", "3"):
-            _, out, _ = invoke(
-                capsys, "check", "--gamma", "1,30", "--delta", "2,3,5",
-                "--bound", "12", "--workers", workers, "--json",
-            )
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+    def test_has_no_workers_option(self, capsys):
+        code, out, err = invoke(
+            capsys, "check", "--gamma", "1,30", "--delta", "2,3,5",
+            "--bound", "12", "--workers", "2",
+        )
+        assert code == 64 and out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_byte_identical_across_runs(self, capsys):
         first = invoke(
@@ -182,6 +181,20 @@ class TestCheckVerb:
 
 
 class TestSearchMuVerb:
+    def test_byte_identical_across_workers(self, capsys, monkeypatch):
+        # every level of the unbalanced search goes to the pool
+        monkeypatch.setattr(integral_module, "PARALLEL_MIN_LEVEL", 1)
+        outputs = []
+        for workers in ("1", "3"):
+            code, out, _ = invoke(
+                capsys, "search-mu", "--gamma", "5,5", "--delta", "6,6",
+                "--bound", "8", "--workers", workers, "--json",
+            )
+            assert code == 1 and out
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["mu"] == "2,1^4"
+
     def test_hooks_only(self, capsys):
         code, out, _ = invoke(
             capsys, "search-mu", "--gamma", "1,30", "--delta", "2,3,5",
@@ -233,6 +246,15 @@ class TestConstructExtractVerbs:
             "--gamma", "1", "--delta", "2,2",
         )
         assert code == 64
+
+    def test_extract_error_prints_the_literal(self, capsys):
+        code, out, err = invoke(
+            capsys, "extract-mu", "--partition", "1586^61,61^2074", "--p", "61",
+            "--gamma", "1", "--delta", "2,2",
+        )
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert "1586^61,61^2074" in err
 
 
 class TestHeight1Verb:

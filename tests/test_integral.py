@@ -226,7 +226,10 @@ class TestFindFailingMu:
         monkeypatch.setattr(integral_module, "PARALLEL_MIN_LEVEL", 1)
         params = RatioParams((2,), (3,))
         assert find_failing_mu(params, 5, workers=3) == find_failing_mu(params, 5)
-        assert find_failing_mu(SPORADIC, 8, workers=2) == find_failing_mu(SPORADIC, 8)
+        # four failing partitions of 6, spread over both chunks of that level
+        params = RatioParams((5, 5), (6, 6))
+        assert find_failing_mu(params, 8, workers=2) == parse_partition("2,1^4")
+        assert find_failing_mu(params, 8) == parse_partition("2,1^4")
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -247,18 +250,17 @@ class TestFindFailingMu:
         assert integral_module._pool_size(workers, cpus, chunks) == size
 
 
-def _search_outcome(search, params, bound):
+def _search_outcome(search, params, bound, *args):
     """What a search returns, or the message of the ValueError it raises."""
     try:
-        return search(params, bound, 1)
+        return search(params, bound, *args)
     except ValueError as exc:
         return str(exc)
 
 
 class TestCoreSearch:
     """The walk over M-core charge vectors against the enumeration of every
-    partition, which it replaces for balanced params with M within the
-    bound and the enumeration cap."""
+    partition, which it replaces for every balanced search."""
 
     def test_signature_from_charges_matches_counts_signature(
         self, partitions_by_size, balanced_grid
@@ -274,7 +276,8 @@ class TestCoreSearch:
                         counts_signature(lam, params)
                     ), (lam, params)
 
-    @pytest.mark.parametrize("M", range(2, 9))
+    # M = 31 is above twice the limit, so coordinates 14..16 stay 0
+    @pytest.mark.parametrize("M", [*range(2, 9), 31])
     def test_cores_per_size_match_is_p_core(self, M, monkeypatch):
         expected = [
             sum(1 for lam in enumerate_partitions(n) if is_p_core(lam, M))
@@ -301,45 +304,50 @@ class TestCoreSearch:
     def _assert_matches_enumeration(pairs, bound):
         checked = 0
         for params in pairs:
-            if params.modulus <= bound:
-                walked = integral_module._least_failing_mu(params, bound, 1)
-                enumerated = integral_module._enumerate_failing_mu(params, bound, 1)
-                assert walked == enumerated, (params, walked, enumerated)
-                checked += 1
+            walked = integral_module._least_failing_mu(params, bound)
+            enumerated = integral_module._enumerate_failing_mu(params, bound, 1)
+            assert walked == enumerated, (params, walked, enumerated)
+            checked += 1
         return checked
 
     def test_matches_enumeration_on_grid(self, balanced_grid):
-        assert self._assert_matches_enumeration(balanced_grid, 14) == 120
+        assert self._assert_matches_enumeration(balanced_grid, 14) == 166
 
     def test_matches_enumeration_on_survey_pairs(self, survey_grid):
         assert len(survey_grid) == 850
-        assert self._assert_matches_enumeration(survey_grid, 16) == 364
+        assert self._assert_matches_enumeration(survey_grid, 16) == 850
 
     def test_matches_enumeration_on_search_pairs(self):
         assert len(EXCEPTION_PRODUCTS) == 18
-        assert self._assert_matches_enumeration(EXCEPTION_PRODUCTS, 20) == 13
+        assert self._assert_matches_enumeration(EXCEPTION_PRODUCTS, 20) == 18
 
     def test_matches_enumeration_on_sporadic_at_30(self):
         assert self._assert_matches_enumeration([SPORADIC], 30) == 1
-        assert integral_module._least_failing_mu(SPORADIC, 30, 1) == (
+        assert integral_module._least_failing_mu(SPORADIC, 30) == (
             parse_partition("2^6,1^18")
         )
 
-    def test_enumerates_when_M_exceeds_the_bound_or_cap_or_without_balance(
+    def test_walks_when_balanced_and_enumerates_only_without_balance(
         self, monkeypatch
     ):
         def walking(params, limit):
             raise AssertionError(f"the M-core walk ran for {params}")
 
-        monkeypatch.setattr(integral_module, "_least_failing_core", walking)
-        search = integral_module._least_failing_mu
-        assert search(RatioParams((3, 5), (6, 6, 10, 10)), 12, 1) is None
-        assert search(RatioParams((2,), (3,)), 5, 1) == Partition((2, 1))
+        def enumerating(n):
+            raise AssertionError(f"partitions of {n} were enumerated")
+
+        # M = 30 lies above the bound 12, and M = 12 above the cap 8
+        monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
+        assert find_failing_mu(RatioParams((3, 5), (6, 6, 10, 10)), 12) is None
         monkeypatch.setenv(MAX_SIZE_ENV_VAR, "8")
+        search = integral_module._least_failing_mu
         assert _search_outcome(search, RatioParams((1, 6), (2, 2, 12, 12)), 14) == (
             "enumeration size 9 exceeds the configured cap 8 "
             "(set HOOKRATIO_MAX_SIZE to raise it)"
         )
+        monkeypatch.undo()
+        monkeypatch.setattr(integral_module, "_least_failing_core", walking)
+        assert find_failing_mu(RatioParams((2,), (3,)), 5) == Partition((2, 1))
 
     @pytest.mark.parametrize("cap", ["-1", "0", "5", "6", "11", "12", "abc"])
     @pytest.mark.parametrize(
@@ -358,7 +366,7 @@ class TestCoreSearch:
         monkeypatch.setenv(MAX_SIZE_ENV_VAR, cap)
         params = RatioParams(gammas, deltas)
         assert _search_outcome(integral_module._least_failing_mu, params, bound) == (
-            _search_outcome(integral_module._enumerate_failing_mu, params, bound)
+            _search_outcome(integral_module._enumerate_failing_mu, params, bound, 1)
         )
 
     def test_cap_error_message(self, monkeypatch):
@@ -378,6 +386,9 @@ class TestCoreSearch:
 
         monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
         verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 28)
+        assert verdict.status == STATUS_UNKNOWN
+        # M = 60 is above the bound
+        verdict = decide(RatioParams((5, 6), (10, 10, 12, 12)), 28)
         assert verdict.status == STATUS_UNKNOWN
 
 
