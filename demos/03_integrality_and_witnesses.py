@@ -56,7 +56,9 @@ print("hook shaped witness:   ", hook_witness)
 print("smallest size witness: ", small_witness, "of size", small_witness.size)
 print()
 
-# The decision procedure wraps it all up with verified verdicts.
+# The decision procedure wraps it all up with verified verdicts. A
+# divisibility flow from the gammas to the deltas they divide certifies
+# ((2,3),(4,4,6,6)), a union of two copies of the exception ((x),(2x,2x)).
 for gammas, deltas in [((1,), (2, 2)), ((1, 30), (2, 3, 5)), ((2, 3), (4, 4, 6, 6))]:
     verdict = decide(RatioParams(gammas, deltas), 12)
     line = f"decide{(tuple(gammas), tuple(deltas))}: {verdict.status}"

@@ -70,13 +70,40 @@ failing cores of the final size are assembled and compared. It checks the
 number of cores it visits per size against the M-core generating function
 prod_k (1 - q^(Mk))^M / (1 - q^k), which is p(n) for n < M, so a walk that
 missed a core raises InvariantError instead of reporting a clean search.
-Without balance fact 1 keeps a |lam| term, so that search enumerates every
-partition.
+The search deepens its limit 1, 2, 4, ... up to the bound: each walk finds
+the least failing core of the smallest failing size within its limit, so
+the first hit is the answer, and a small witness never pays for the table
+of the full budget. Without balance fact 1 keeps a |lam| term, so that
+search enumerates every partition.
+
+Certifying by a divisibility flow. `decide` certifies before it searches:
+
+7. If b | a then b N_b(lam) >= a N_a(lam) at every lam. By fact 1 this is
+   |core_b(lam)| <= |core_a(lam)|, and core_b(lam) = core_b(core_a(lam)):
+   removing an a-hook moves one bead by a positions, along its runner of
+   the b-abacus, so the b-charges stay and with them the b-core (fact 2).
+   Now take the network in which a source feeds each gamma with capacity
+   M / gamma, each gamma has an edge to every delta it divides, and each
+   delta feeds a sink with capacity M / delta, and suppose a flow f
+   saturates every delta edge. Let x_{gamma delta} = f_{gamma delta} /
+   (M / delta) be the share of delta's demand that comes from gamma, so
+   sum_gamma x_{gamma delta} = 1. For q = 1 and for every prime power
+   q = p^k, gamma q divides delta q on each edge, and
+       sum_delta N_{delta q} <= sum_{gamma, delta} x_{gamma delta}
+           (gamma / delta) N_{gamma q} <= sum_gamma N_{gamma q},
+   the last step because gamma sends at most M / gamma. With q = 1 the
+   signature is >= 0 at every lam; summed over q = p^k, k >= 1, so is the
+   exponent of every prime p in the ratio (the sum that `ratio_valuation`
+   counts). So the ratio is an integer at every partition, without the
+   tower identity. A single gamma dividing every delta is such a network,
+   and the certificate is closed under multiset union (add the flows,
+   scaled to the common M) and under cancelling an entry on both sides
+   (route the flow into it on to where it went out).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -413,15 +440,19 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
 def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     """Lexicographically least partition with negative counts signature
     among those of the smallest failing size up to the bound, for balanced
-    params, found by the M-core walk whatever M is.
+    params, found by M-core walks of deepening limit whatever M is.
 
     The search stops at the enumeration cap, read up front, and raises the
     cap error when the bound lies beyond it and nothing was found.
     """
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
-    # a negative cap admits not even the empty partition
-    mu = _least_failing_core(params, limit) if limit >= 0 else None
+    # deepen 1, 2, 4, ...; the empty partition, all that a limit of 0 or
+    # less admits, never fails
+    mu, depth = None, 0
+    while mu is None and depth < limit:
+        depth = min(2 * depth or 1, limit)
+        mu = _least_failing_core(params, depth)
     if mu is None and size_bound > cap:
         raise enumeration_cap_error(cap + 1, cap)
     return mu
@@ -570,12 +601,53 @@ class Verdict:
         }
 
 
-def _certified_by_theorem(params: RatioParams) -> bool:
-    """Certification whitelist: a single gamma dividing every delta (with
-    balance, which the caller guarantees). This covers the multinomial
-    pairs (s, st), the divisor family, and the height 1 exception
-    ((x), (2x, 2x)); anything outside stays unknown."""
-    return params.K == 1 and all(d % params.gammas[0] == 0 for d in params.deltas)
+def _certified_by_flow(params: RatioParams) -> bool:
+    """True when the divisibility network of fact 7 in the module
+    docstring saturates every delta edge, which proves the ratio integral.
+
+    Entries of equal value share one node with their capacities added.
+    Edmonds-Karp augments along shortest residual paths, so the number of
+    augmentations is bounded by the size of the network, not by M.
+    """
+    # a delta that no gamma divides receives nothing; most failing pairs
+    # stop here, before the network is built
+    if not all(any(d % g == 0 for g in params.gammas) for d in params.deltas):
+        return False
+    M = params.modulus
+    supply, demand = Counter(params.gammas), Counter(params.deltas)
+    gammas, deltas = list(supply), list(demand)
+    n = len(gammas) + len(deltas) + 2
+    source, sink = 0, n - 1
+    first_delta = len(gammas) + 1
+    residual = [[0] * n for _ in range(n)]
+    for i, g in enumerate(gammas, 1):
+        residual[source][i] = supply[g] * (M // g)
+        for k, d in enumerate(deltas, first_delta):
+            if d % g == 0:
+                residual[i][k] = residual[source][i]
+    for k, d in enumerate(deltas, first_delta):
+        residual[k][sink] = demand[d] * (M // d)
+    while True:
+        prev = [-1] * n
+        prev[source] = source
+        queue = deque([source])
+        while queue and prev[sink] < 0:
+            u = queue.popleft()
+            for v, free in enumerate(residual[u]):
+                if free and prev[v] < 0:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[sink] < 0:
+            return not any(residual[k][sink] for k in range(first_delta, sink))
+        path = []
+        v = sink
+        while v != source:
+            path.append((prev[v], v))
+            v = prev[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
 
 
 def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Verdict:
@@ -593,18 +665,18 @@ def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Ve
 def decide(params: RatioParams, size_bound: int) -> Verdict:
     """Decide integrality of the ratio for balanced parameters.
 
-    Returns Integral-Certified when a covering theorem applies, Fails with
-    a re-verified witness triple when a negative-signature partition turns
-    up (hook shapes over the full period grid first, then every partition
-    up to the size bound, through its M-core), and Unknown-UpToBound
-    otherwise. The tool never certifies beyond the whitelist: a clean
-    search is not a proof.
+    Returns Integral-Certified when the divisibility flow (fact 7 in the
+    module docstring) proves the ratio integral, Fails with a re-verified
+    witness triple when a negative-signature partition turns up (hook
+    shapes over the full period grid first, then every partition up to the
+    size bound, through its M-core), and Unknown-UpToBound otherwise: a
+    clean search is not a proof.
     """
     if not params.is_balanced:
         raise ValueError(f"parameters {params} are not balanced")
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
-    if _certified_by_theorem(params):
+    if _certified_by_flow(params):
         return Verdict(params, STATUS_INTEGRAL, bound=size_bound)
     # the bounded scan inside find_failing_mu is a subset of this one
     found = _hook_shape_scan(params)

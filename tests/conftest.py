@@ -179,6 +179,14 @@ def signature_from_charges(charges, params):
     return sig
 
 
+def oracle_whitelist(params):
+    """The certificate decide used before the divisibility flow: a single
+    gamma dividing every delta (with balance). It covers the multinomial
+    pairs (s, st), the divisor family and the height one exception
+    ((x), (2x, 2x)), and nothing else."""
+    return params.K == 1 and all(d % params.gammas[0] == 0 for d in params.deltas)
+
+
 def exact_ratio_value(lam, gammas, deltas):
     """The ratio as an exact Fraction of restricted hook products."""
     from hookratio import restricted_hooks

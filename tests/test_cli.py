@@ -151,8 +151,8 @@ class TestCheckVerb:
 
     def test_unknown(self, capsys):
         code, out, _ = invoke(
-            capsys, "check", "--gamma", "2,3", "--delta", "4,4,6,6",
-            "--bound", "6", "--json",
+            capsys, "check", "--gamma", "2", "--delta", "5,10,10,10",
+            "--bound", "5", "--json",
         )
         assert code == 2 and json.loads(out)["status"] == "Unknown-UpToBound"
 
@@ -371,7 +371,7 @@ def test_console_script_version():
 def test_malformed_max_size_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("HOOKRATIO_MAX_SIZE", "abc")
     code, _, err = invoke(
-        capsys, "check", "--gamma", "1,1", "--delta", "2,2,2,2", "--bound", "4"
+        capsys, "check", "--gamma", "2", "--delta", "5,10,10,10", "--bound", "4"
     )
     assert code == 64
     assert "HOOKRATIO_MAX_SIZE" in err and "'abc'" in err

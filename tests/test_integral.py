@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hookratio.integral as integral_module
 from hookratio import (
@@ -35,12 +38,16 @@ from conftest import (
     all_partitions_through,
     exact_ratio_value,
     oracle_ratio_valuation,
+    oracle_whitelist,
     signature_from_charges,
     source_env,
 )
 from hookratio.partition import MAX_SIZE_ENV_VAR
 
 SPORADIC = RatioParams((1, 30), (2, 3, 5))
+# outside the divisibility flow, so decide reaches the M-core walk (M = 10):
+# Unknown at bound 5, Fails from bound 6 on, least failing mu 3,2,1
+WALKED = RatioParams((2,), (5, 10, 10, 10))
 # first rung of the height 1 witness ladder: a 223,260-cell witness at p = 61
 LADDER_FIRST = RatioParams((35,), (60, 84))
 RECTANGLE = parse_partition("6^5")
@@ -372,7 +379,7 @@ class TestCoreSearch:
     def test_cap_error_message(self, monkeypatch):
         monkeypatch.setenv(MAX_SIZE_ENV_VAR, "5")
         with pytest.raises(ValueError) as exc:
-            decide(RatioParams((1, 1), (2, 2, 2, 2)), 8)
+            decide(WALKED, 8)
         assert str(exc.value) == (
             "enumeration size 6 exceeds the configured cap 5 "
             "(set HOOKRATIO_MAX_SIZE to raise it)"
@@ -385,11 +392,106 @@ class TestCoreSearch:
             raise AssertionError(f"partitions of {n} were enumerated")
 
         monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
-        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 28)
+        verdict = decide(WALKED, 28)
+        assert verdict.status == STATUS_FAILS
+        assert verdict.witness.mu == parse_partition("3,2,1")
+        # M = 10 is above the bound
+        verdict = decide(WALKED, 5)
         assert verdict.status == STATUS_UNKNOWN
-        # M = 60 is above the bound
-        verdict = decide(RatioParams((5, 6), (10, 10, 12, 12)), 28)
-        assert verdict.status == STATUS_UNKNOWN
+
+    @pytest.mark.parametrize(
+        "bound, limits", [(16, [1, 2, 4, 8]), (5, [1, 2, 4, 5]), (0, [])]
+    )
+    def test_search_deepens_its_limit(self, bound, limits, monkeypatch):
+        # 3,2,1 fails at size 6, inside the limit 8; below 6 nothing fails,
+        # so the search stops at the bound
+        seen = []
+        walk = integral_module._least_failing_core
+
+        def recorded(params, limit):
+            seen.append(limit)
+            return walk(params, limit)
+
+        monkeypatch.setattr(integral_module, "_least_failing_core", recorded)
+        mu = integral_module._least_failing_mu(WALKED, bound)
+        assert seen == limits
+        assert mu == (parse_partition("3,2,1") if bound >= 6 else None)
+
+
+# partitions of at most 20 cells: parts drawn until the next would overflow
+small_partitions = st.lists(st.integers(1, 20), max_size=20).map(
+    lambda parts: Partition(sorted(
+        (x for i, x in enumerate(parts) if sum(parts[: i + 1]) <= 20), reverse=True
+    ))
+)
+
+
+class TestDivisibilityFlow:
+    """The certificate of fact 7 against the search, the old whitelist,
+    product closure and the ratio itself."""
+
+    def test_goldens(self):
+        certified = integral_module._certified_by_flow
+        # one gamma dividing every delta, and a union of two of them
+        assert certified(RatioParams((1,), (2, 2)))
+        assert certified(RatioParams((2, 3), (4, 4, 6, 6)))
+        # 2 divides 10 but not 5; the sporadic pair fails
+        assert not certified(WALKED)
+        assert not certified(SPORADIC)
+
+    def test_needs_an_augmenting_path_back(self):
+        # M = 12: 1 supplies 12 and 2 supplies 6; 3 demands 8, 4 demands 6
+        # and 6 demands 4. Shortest paths in this order send 1's supply to
+        # 4 and 3 and 2's to 6, and the last 2 units reach 3 only along
+        # 2 -> 4 -> 1 -> 3, undoing part of 1 -> 4
+        params = RatioParams((1, 2), (4, 4, 3, 3, 6, 6))
+        assert params.is_balanced
+        assert integral_module._certified_by_flow(params)
+        assert decide(params, 8).status == STATUS_INTEGRAL
+
+    def test_certified_pairs_search_clean(self, balanced_grid, survey_grid):
+        for pairs, bound, expected in ((balanced_grid, 14, 23), (survey_grid, 16, 47)):
+            certified = [p for p in pairs if integral_module._certified_by_flow(p)]
+            assert len(certified) == expected
+            for params in certified:
+                assert integral_module._least_failing_mu(params, bound) is None, params
+                assert integral_module._hook_shape_scan(params) is None, params
+
+    def test_whitelist_implies_flow(self, survey_grid):
+        whitelisted = [p for p in survey_grid if oracle_whitelist(p)]
+        assert len(whitelisted) == 29
+        assert all(integral_module._certified_by_flow(p) for p in whitelisted)
+
+    def test_closed_under_union_and_cancellation(self, balanced_grid):
+        certified = [p for p in balanced_grid if integral_module._certified_by_flow(p)]
+        cancelled = 0
+        for a in certified:
+            for b in certified:
+                gammas = Counter(a.gammas + b.gammas)
+                deltas = Counter(a.deltas + b.deltas)
+                shared = gammas & deltas
+                params = RatioParams(
+                    tuple((gammas - shared).elements()),
+                    tuple((deltas - shared).elements()),
+                )
+                assert params.is_balanced
+                assert integral_module._certified_by_flow(params), (a, b, params)
+                cancelled += bool(shared)
+        assert cancelled > 0
+
+    @given(lam=small_partitions)
+    @settings(max_examples=60, deadline=None)
+    def test_certified_ratio_is_integral(self, balanced_grid, lam):
+        for params in balanced_grid:
+            if not integral_module._certified_by_flow(params):
+                continue
+            assert counts_signature(lam, params) >= 0, (lam, params)
+            assert ratio_factored(lam, params).is_integral, (lam, params)
+
+    def test_survey_verdicts(self, survey_grid):
+        # the flow decides every pair the search left open: no Unknown
+        statuses = Counter(decide(p, 16).status for p in survey_grid)
+        assert statuses == {STATUS_FAILS: 803, STATUS_INTEGRAL: 47}
 
 
 class TestConstructFailingLambda:
@@ -565,9 +667,9 @@ class TestDecide:
         assert decide(SPORADIC, 5).status == STATUS_FAILS
 
     def test_unknown_outside_whitelist(self):
-        verdict = decide(RatioParams((2, 3), (4, 4, 6, 6)), 8)
+        verdict = decide(WALKED, 5)
         assert verdict.status == STATUS_UNKNOWN
-        assert verdict.exit_code == 2 and verdict.bound == 8
+        assert verdict.exit_code == 2 and verdict.bound == 5
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
@@ -575,8 +677,8 @@ class TestDecide:
 
     @pytest.mark.parametrize(
         "gammas, deltas",
-        # certified by the whitelist, failing by a hook shape, and searched
-        [((1,), (2, 2)), ((1, 30), (2, 3, 5)), ((1, 1), (2, 2, 2, 2))],
+        # certified by the flow, failing by a hook shape, and searched
+        [((1,), (2, 2)), ((1, 30), (2, 3, 5)), ((2,), (5, 10, 10, 10))],
     )
     def test_negative_bound_rejected(self, gammas, deltas):
         with pytest.raises(ValueError, match="size bound must be nonnegative"):
@@ -598,7 +700,7 @@ class TestDecide:
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(integral_module, "_hook_shape_scan", counted)
-        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 8)
+        verdict = decide(WALKED, 5)
         assert verdict.status == STATUS_UNKNOWN
         assert len(calls) == 1
 
@@ -608,7 +710,7 @@ class TestDecide:
             raise AssertionError(f"hooks of {lam!r} were listed")
 
         monkeypatch.setattr(integral_module, "hook_multiset", listing)
-        verdict = decide(RatioParams((1, 1), (2, 2, 2, 2)), 12)
+        verdict = decide(WALKED, 5)
         assert verdict.status == STATUS_UNKNOWN
 
     def test_reverification_survives_optimize_flag(self):
