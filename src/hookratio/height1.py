@@ -27,9 +27,9 @@ from .integral import (
     Verdict,
     _hook_shape_scan,
     _verified_fails,
-    counts_signature,
 )
 from .partition import Partition, construct_hook_partition
+from .primes import divisors
 from .ratio import InvariantError, RatioParams, build_ftable
 
 
@@ -66,10 +66,18 @@ class SumsetReport:
 
 
 def _as_mask(values: Iterable[int], P: int) -> int:
-    mask = 0
+    # one digit string, read at C speed: O(P), where or-ing in one bit at a
+    # time would rebuild a P-bit integer per element
+    digits = bytearray(b"0" * P)
     for v in values:
-        mask |= 1 << (v % P)
-    return mask
+        digits[P - 1 - v % P] = 0x31  # ord("1")
+    return int(digits, 2)
+
+
+def _elements(mask: int) -> list[int]:
+    """The set bits of mask in increasing order, in O(bit length)."""
+    digits = bin(mask)[:1:-1]
+    return [i for i, d in enumerate(digits) if d == "1"]
 
 
 def _rotate(mask: int, g: int, P: int) -> int:
@@ -79,7 +87,7 @@ def _rotate(mask: int, g: int, P: int) -> int:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset(_elements(mask))
 
 
 def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
@@ -91,19 +99,16 @@ def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
     if not a_mask or not b_mask:
         raise ValueError("sumsets of empty sets are not defined here")
     s_mask = 0
-    b_elems = [i for i in range(P) if b_mask >> i & 1]
-    for b in b_elems:
+    for b in _elements(b_mask):
         s_mask |= _rotate(a_mask, b, P)
-    stab_mask = 0
-    for g in range(P):
-        if _rotate(s_mask, g, P) == s_mask:
-            stab_mask |= 1 << g
-    a_stab = 0
-    b_stab = 0
-    for g in range(P):
-        if stab_mask >> g & 1:
-            a_stab |= _rotate(a_mask, g, P)
-            b_stab |= _rotate(b_mask, g, P)
+    # {g : S + g = S} is a subgroup of Z/P, so it is dZ/P for the least
+    # divisor d of P that fixes S (d = P always does)
+    step = next(d for d in divisors(P) if _rotate(s_mask, d, P) == s_mask)
+    stab_mask = a_stab = b_stab = 0
+    for g in range(0, P, step):
+        stab_mask |= 1 << g
+        a_stab |= _rotate(a_mask, g, P)
+        b_stab |= _rotate(b_mask, g, P)
     lhs = s_mask.bit_count()
     rhs = a_stab.bit_count() + b_stab.bit_count() - stab_mask.bit_count()
     return SumsetReport(
@@ -175,12 +180,17 @@ def decide_height1(params: RatioParams) -> Verdict:
         return _verified_fails(params, Partition((x,)), None)
     found = find_hook_witness(params)
     if found is not None:
-        mu = construct_hook_partition(*found)
-        if counts_signature(mu, params) != -1:
-            raise Height1ContradictionError(
-                f"hook witness {found} of {params} has signature other than -1"
-            )
-        return _verified_fails(params, mu, None)
+        contradiction = Height1ContradictionError(
+            f"hook witness {found} of {params} has signature other than -1"
+        )
+        try:
+            verdict = _verified_fails(params, construct_hook_partition(*found), None)
+        except ValueError as exc:  # a signature >= 0 cannot be inflated
+            raise contradiction from exc
+        # the re-check made the valuation p times the signature of mu
+        if verdict.valuation_at_p != -verdict.witness.p:
+            raise contradiction
+        return verdict
     if is_canonical_exception(params):
         return Verdict(params, STATUS_INTEGRAL)
     raise Height1ContradictionError(

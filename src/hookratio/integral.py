@@ -111,7 +111,6 @@ from typing import Mapping, Sequence
 from .littlewood import (
     _assemble,
     _walk,
-    compose,
     divisible_hook_counts,
     hook_count_divisible,
     largest_hook,
@@ -246,9 +245,9 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     the number of k >= 1 with r * p**k dividing h. Summed over the hooks,
     the contribution of r is sum_{k >= 1} N_{r * p**k}(lam), where N_m
     counts the hooks divisible by m; the terms stop once r * p**k exceeds
-    the largest hook, lam_1 + len(lam) - 1. Each N_m is read off the bead
-    positions of lam in O(len(lam) log len(lam)), so the cost does not grow
-    with |lam|. The count comes straight from the profile of lam and never
+    the largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
+    interval per run of lam in O(R log R) for R runs, so the cost grows
+    with neither |lam| nor len(lam). The count comes straight from the profile of lam and never
     decomposes it, so it re-checks a witness independently of the tower
     identity that built the witness.
     """
@@ -487,6 +486,25 @@ def find_failing_mu(
     return _least_failing_mu(params, size_bound)
 
 
+def _inflate(mu: Partition, params: RatioParams) -> tuple[int, int, Partition]:
+    """(sig, p, lam) for construct_failing_lambda, with sig the counts
+    signature of mu, so that a caller re-checking lam needs no second
+    signature."""
+    sig = counts_signature(mu, params)
+    if sig >= 0:
+        raise ValueError(
+            f"counts signature of {format_partition(mu) or '()'} is {sig}; "
+            "a negative signature is required"
+        )
+    p = next_prime_above(largest_hook(mu))
+    # compose(EMPTY, [mu] * p, p) blows every cell of mu up into a p x p
+    # block: bead x of mu on the empty abacus becomes the p beads p x + j,
+    # j < p, one per runner at level x, so run (v, m) of mu becomes the run
+    # (p v, p m) of lam
+    lam = Partition.from_runs((p * v, p * m) for v, m in mu.runs)
+    return sig, p, lam
+
+
 def construct_failing_lambda(
     mu: Partition, params: RatioParams
 ) -> tuple[int, Partition]:
@@ -496,16 +514,10 @@ def construct_failing_lambda(
     mu and lam has empty core and p copies of mu as its quotients. Every
     hook of mu stays below p, so mu is a p-core and the tower below depth 1
     is trivial; the valuation of the ratio at p is exactly
-    p * counts_signature(mu), which is negative.
+    p * counts_signature(mu), which is negative. lam is mu dilated by p,
+    held in runs: as many runs as mu, however many rows.
     """
-    sig = counts_signature(mu, params)
-    if sig >= 0:
-        raise ValueError(
-            f"counts signature of {format_partition(mu) or '()'} is {sig}; "
-            "a negative signature is required"
-        )
-    p = next_prime_above(largest_hook(mu))
-    lam = compose(Partition(), [mu] * p, p)
+    _, p, lam = _inflate(mu, params)
     return p, lam
 
 
@@ -651,9 +663,9 @@ def _certified_by_flow(params: RatioParams) -> bool:
 
 
 def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Verdict:
-    p, lam = construct_failing_lambda(mu, params)
+    sig, p, lam = _inflate(mu, params)
     vp = ratio_valuation(lam, params, p)
-    expected = p * counts_signature(mu, params)
+    expected = p * sig
     if vp != expected or vp >= 0:
         raise InvariantError(
             f"witness {format_partition(mu) or '()'} at p = {p} has valuation {vp}, "
@@ -677,7 +689,8 @@ def decide(params: RatioParams, size_bound: int) -> Verdict:
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
     if _certified_by_flow(params):
-        return Verdict(params, STATUS_INTEGRAL, bound=size_bound)
+        # a certified pair is never searched, so it carries no bound
+        return Verdict(params, STATUS_INTEGRAL)
     # the bounded scan inside find_failing_mu is a subset of this one
     found = _hook_shape_scan(params)
     if found is not None:

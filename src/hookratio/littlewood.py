@@ -22,6 +22,7 @@ position below it, and its length is their distance.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -216,7 +217,7 @@ def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:
 
 def largest_hook(lam: Partition) -> int:
     """The corner hook lam_1 + len(lam) - 1; 0 for the empty partition."""
-    return lam.parts[0] + len(lam) - 1 if lam else 0
+    return lam.first + len(lam) - 1 if lam else 0
 
 
 def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, int]:
@@ -224,16 +225,35 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
 
     A hook is a bead with a gap below it on the boundary, and its length is
     their distance. Counting positions from the lowest gap, the beads sit at
-    y_k = lam_k - k + len(lam) for k = 1..len(lam). A bead y has y // m
+    y_k = lam_k - k + n for k = 1..n, n = len(lam). A bead y has y // m
     positions below it on its runner (positions congruent to y mod m), and
     each of the other beads on that runner below it fills one of them, so
-    N_m = sum_k y_k // m - (pairs of beads on a common runner). The beads
-    are built once; each modulus costs O(len(lam) log len(lam)), never
-    O(|lam|).
+    N_m = sum_k y_k // m - sum_r C(cnt_r, 2), cnt_r the beads on runner r.
+
+    A run of equal parts is an interval of consecutive beads, and the
+    kernel reads intervals, not rows. The floor sum of an interval [a, b)
+    is F(b) - F(a) with F(x) = sum_{y < x} y // m = m q (q - 1) / 2 + q r,
+    (q, r) = divmod(x, m). An interval of length L covers every runner
+    L // m times plus an arc of L % m consecutive runners, so cnt_r = Q +
+    A_r, Q the total of the full cycles and A_r the number of arcs over r,
+    and sum_r cnt_r^2 = m Q^2 + 2 Q (n - m Q) + sum_r A_r^2. A run of one
+    part is one bead, and an arc of one runner is a point: points are
+    counted by runner, and the longer arcs add their squares by a sweep
+    over their sorted ends. Each modulus costs O(R log R) for R runs,
+    whatever |lam| and len(lam) are.
     """
-    n = len(lam.parts)
-    beads = [part - k + n for k, part in enumerate(lam.parts, 1)]
-    top = largest_hook(lam)
+    runs = lam.runs
+    n = len(lam)
+    top = runs[0][0] + n - 1 if runs else 0
+    beads = []  # the runs of one part: an interval of one bead is that bead
+    blocks = []  # (lowest bead, length) for the longer runs
+    k = 0
+    for value, mult in runs:
+        k += mult
+        if mult == 1:
+            beads.append(value - k + n)
+        else:
+            blocks.append((value - k + n, mult))
     counts: dict[int, int] = {}
     for m in moduli:
         if m < 1:
@@ -243,17 +263,50 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
         if m > top:
             counts[m] = 0
             continue
-        # beads sharing a runner, found by sorting the residues: the memory
-        # stays O(len(lam)) however far m exceeds len(lam)
+        floors = sum([y // m for y in beads])
+        points = [y % m for y in beads]
+        full = 0
+        ends: list[int] = []  # 2 * runner, plus 1 for the start of an arc
+        for lo, length in blocks:
+            q, r = divmod(lo + length, m)
+            s, t = divmod(lo, m)
+            floors += (m * (q * (q - 1) - s * (s - 1)) >> 1) + q * r - s * t
+            f, rest = divmod(length, m)
+            full += f
+            if rest == 1:
+                points.append(t)
+            elif rest:
+                stop = t + rest
+                if stop <= m:
+                    ends += (2 * t + 1, 2 * stop)
+                else:  # the arc wraps past runner m - 1
+                    ends += (2 * t + 1, 2 * m, 1, 2 * (stop - m))
+        # sum over runners of (points on it)^2 = len(points) + 2 * (pairs of
+        # points on a common runner)
+        points.sort()
         pairs = run = 0
         prev = -1
-        for r in sorted([y % m for y in beads]):
+        for r in points:
             if r == prev:
                 run += 1
                 pairs += run
             else:
                 prev, run = r, 0
-        counts[m] = sum(y // m for y in beads) - pairs
+        squares = len(points) + 2 * pairs
+        squares += m * full * full + 2 * full * (n - m * full)
+        # sweep the arcs: on the runners [prev, pos) under depth arcs, the
+        # arcs add depth^2 each and twice depth for each point; the order
+        # of the ends at one runner does not change the sum
+        ends.sort()
+        depth = prev = 0
+        for e in ends:
+            pos = e >> 1
+            if depth:
+                inside = bisect_left(points, pos) - bisect_left(points, prev)
+                squares += depth * (depth * (pos - prev) + 2 * inside)
+            prev = pos
+            depth += 1 if e & 1 else -1
+        counts[m] = floors - (squares - n) // 2
     return counts
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -23,9 +23,19 @@ MAX_SIZE_ENV_VAR = "HOOKRATIO_MAX_SIZE"
 
 
 class Partition:
-    """A weakly decreasing finite sequence of positive integers."""
+    """A weakly decreasing finite sequence of positive integers.
+
+    It is held either as its rows (``parts``) or, when built by
+    ``from_runs``, as its runs of equal parts: (value, multiplicity) pairs
+    with strictly decreasing values. A run-built partition fills ``parts``
+    only when something reads it, so a shape with a few runs but millions
+    of rows costs O(runs) until then; ``runs``, ``first``, ``size``,
+    ``len``, ``bool``, ``==`` and ``hash`` never expand it. A row-built
+    partition holds its rows and nothing else.
+    """
 
     __slots__ = ("parts",)
+    _runs = None  # the runs of a run-built partition, which fills this slot
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(int, parts))
@@ -39,11 +49,44 @@ class Partition:
                     raise ValueError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @staticmethod
+    def from_runs(runs: Iterable[tuple[int, int]]) -> "Partition":
+        """The partition with these (value, multiplicity) runs, checked in
+        O(runs): values strictly decrease, and values and multiplicities
+        are positive."""
+        runs = tuple((int(v), int(m)) for v, m in runs)
+        prev = None
+        for v, m in runs:
+            if v < 1:
+                raise ValueError(f"partition parts must be positive, got {v}")
+            if m < 1:
+                raise ValueError(f"run multiplicities must be positive, got {m}")
+            if prev is not None and prev <= v:
+                raise ValueError(f"run values must strictly decrease, got {runs}")
+            prev = v
+        lam = object.__new__(_RunPartition)
+        object.__setattr__(lam, "_runs", runs)
+        return lam
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     def __reduce__(self):
         return (Partition, (self.parts,))
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(value, multiplicity) for each run of equal parts, largest first.
+
+        A row-built partition groups its rows afresh on each read."""
+        # from a list: tuple() over a generator left a higher peak RSS on
+        # the unbalanced search, which reads the runs of every partition
+        return tuple([(v, len(list(g))) for v, g in groupby(self.parts)])
+
+    @property
+    def first(self) -> int:
+        """The largest part, in O(1); 0 for the empty partition."""
+        return self.parts[0] if self.parts else 0
 
     @property
     def size(self) -> int:
@@ -59,7 +102,11 @@ class Partition:
         return bool(self.parts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+        if not isinstance(other, Partition):
+            return False
+        if self._runs is None and other._runs is None:
+            return self.parts == other.parts
+        return self.runs == other.runs
 
     def __lt__(self, other: "Partition") -> bool:
         return self.parts < other.parts
@@ -68,7 +115,7 @@ class Partition:
         return self.parts <= other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash(self.runs)
 
     def __repr__(self) -> str:
         return f"Partition{self.parts!r}" if self.parts else "Partition()"
@@ -90,7 +137,44 @@ class Partition:
         return 0 <= row < len(self.parts) and 0 <= col < self.parts[row]
 
 
+class _RunPartition(Partition):
+    """A partition built by Partition.from_runs: it holds its runs, and
+    fills its parts slot on first read."""
+
+    __slots__ = ("_runs",)
+
+    def __getattr__(self, name):
+        # reached only while the parts slot is empty
+        if name != "parts":
+            raise AttributeError(name)
+        parts = tuple(chain.from_iterable(repeat(v, m) for v, m in self._runs))
+        object.__setattr__(self, "parts", parts)
+        return parts
+
+    def __reduce__(self):
+        return (Partition.from_runs, (self._runs,))
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        return self._runs
+
+    @property
+    def first(self) -> int:
+        return self._runs[0][0] if self._runs else 0
+
+    @property
+    def size(self) -> int:
+        return sum(v * m for v, m in self._runs)
+
+    def __len__(self) -> int:
+        return sum(m for _, m in self._runs)
+
+    def __bool__(self) -> bool:
+        return bool(self._runs)
+
+
 EMPTY = Partition()
+
 
 
 def parse_partition(text: str) -> Partition:
@@ -125,8 +209,7 @@ def parse_partition(text: str) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Canonical literal: comma separated, runs of 4 or more as ``b^e``."""
     out = []
-    for part, run in groupby(lam.parts):
-        count = len(list(run))
+    for part, count in lam.runs:
         if count >= 4:
             out.append(f"{part}^{count}")
         else:

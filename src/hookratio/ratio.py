@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .primes import factorize
+from .primes import divisors
 
 
 class InvariantError(RuntimeError):
@@ -162,11 +162,8 @@ def build_ftable(params: RatioParams) -> FTable:
         )
     M = params.modulus
     values = tuple(f_value(x, params) for x in range(M))
-    divisors = [1]
-    for p, e in factorize(M):
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
     period = next(
-        P for P in sorted(divisors)
+        P for P in divisors(M)
         if all(values[x] == values[x % P] for x in range(M))
     )
     height = params.height

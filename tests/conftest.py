@@ -40,6 +40,28 @@ def oracle_hooks(parts):
     return sorted(out)
 
 
+def oracle_divisible_hook_counts(lam, moduli):
+    """N_m for each m, one bead per row: the beads sit at y_k = lam_k - k +
+    len(lam), each has y // m positions below it on its runner, and every
+    pair of beads on a common runner fills one of them. This is the row
+    kernel that the run-length kernel replaced."""
+    parts = lam.parts
+    n = len(parts)
+    beads = [part - k + n for k, part in enumerate(parts, 1)]
+    counts = {}
+    for m in moduli:
+        pairs = run = 0
+        prev = -1
+        for r in sorted(y % m for y in beads):
+            if r == prev:
+                run += 1
+                pairs += run
+            else:
+                prev, run = r, 0
+        counts[m] = sum(y // m for y in beads) - pairs
+    return counts
+
+
 def oracle_factorize(n):
     f = Counter()
     d = 2

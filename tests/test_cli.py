@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -375,3 +376,22 @@ def test_malformed_max_size_names_the_variable(capsys, monkeypatch):
     )
     assert code == 64
     assert "HOOKRATIO_MAX_SIZE" in err and "'abc'" in err
+
+
+def test_height1_at_m_51330_is_byte_identical():
+    # stdout recorded once from the row-list implementation, which built
+    # the 1,497,270 rows of the witness; the run-length witness prints the
+    # same bytes
+    proc = subprocess.run(
+        [sys.executable, "-m", "hookratio", "height1",
+         "--gamma", "870", "--delta", "1711,1770", "--json"],
+        capture_output=True, timeout=120, env=source_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "1e115376fbf0a7a47682d67c7dfa9a2d156121abd275062146333911eba4f3a2"
+    )
+    witness = json.loads(proc.stdout)["witness"]
+    assert witness == {
+        "mu": "842,1^869", "p": 1721, "lambda": "1449082^1721,1721^1495549",
+    }

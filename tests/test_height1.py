@@ -11,6 +11,7 @@ from hookratio import (
     RatioParams,
     STATUS_FAILS,
     STATUS_INTEGRAL,
+    SumsetReport,
     bober_families,
     build_ftable,
     counts_signature,
@@ -96,6 +97,25 @@ class TestSumset:
         with pytest.raises(ValueError):
             sumset(set(), {1}, 5)
 
+    def test_matches_brute_force_oracle(self):
+        # the stabilizer is found among the divisors of P; the oracle tries
+        # every g in Z/P and builds every set by definition
+        rng = random.Random(7)
+        for _ in range(400):
+            P = rng.randint(1, 60)
+            A = {rng.randrange(P) for _ in range(rng.randint(1, P))}
+            B = {rng.randrange(P) for _ in range(rng.randint(1, P))}
+            if rng.random() < 0.3:  # unions of cosets have a large stabilizer
+                d = rng.choice([d for d in range(1, P + 1) if P % d == 0])
+                A = {(a + k) % P for a in A for k in range(0, P, d)}
+            S = frozenset((a + b) % P for a in A for b in B)
+            H = frozenset(g for g in range(P) if {(s + g) % P for s in S} == S)
+            A_H = {(a + h) % P for a in A for h in H}
+            B_H = {(b + h) % P for b in B for h in H}
+            assert sumset(A, B, P) == SumsetReport(
+                P, S, H, len(S), len(A_H) + len(B_H) - len(H)
+            ), (P, A, B)
+
     def test_kneser_inequality_random(self):
         rng = random.Random(99)
         for _ in range(2000):
@@ -176,6 +196,18 @@ class TestDecideHeight1:
         assert verdict.witness.lam.size == 223_260
         assert sizes == []
 
+    def test_witness_stays_in_runs(self):
+        # the 5.1M-cell witness of M = 1,710 is built from runs, re-verified
+        # on its runs and formatted from its runs; its rows are never listed
+        verdict = decide_height1(RatioParams((90,), (171, 190)))
+        lam = verdict.witness.lam
+        assert len(lam.runs) == 2 and lam.size > 5_000_000
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+        assert verdict.witness.to_json_dict()["lambda"].count(",") == 1
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+
     def test_bober_images_all_fail(self):
         for (x, y), params in valid_bober_images(6):
             if (x, y) == (1, 1):
@@ -211,6 +243,23 @@ class TestDecideHeight1:
         )
         with pytest.raises(Height1ContradictionError):
             decide_height1(RatioParams((3,), (4, 12)))
+
+    @pytest.mark.parametrize("found", [(0, 0), (0, 1)])
+    def test_hook_witness_of_nonnegative_signature_is_a_contradiction(
+        self, monkeypatch, found
+    ):
+        # (1) and (1, 1) have signature >= 0 here: such a hook witness must
+        # raise the contradiction, not a plain input error
+        params = RatioParams((3,), (4, 12))
+        assert all(
+            counts_signature(Partition((1,) * (1 + l)), params) >= 0
+            for l in (0, 1)
+        )
+        monkeypatch.setattr(
+            height1_module, "find_hook_witness", lambda params: found
+        )
+        with pytest.raises(Height1ContradictionError):
+            decide_height1(params)
 
     def test_witness_signature_is_exactly_minus_one(self):
         for _, params in valid_bober_images(4):

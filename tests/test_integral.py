@@ -524,6 +524,26 @@ class TestConstructFailingLambda:
         assert p == 61
         assert format_partition(lam) == "1586^61,61^2074"
 
+    def test_dilation_matches_compose(self, partitions_by_size):
+        # lam is mu dilated by p, built from runs; compose(EMPTY, [mu] * p, p)
+        # is the definition it replaces
+        from hookratio import compose
+        from hookratio.littlewood import largest_hook
+        from hookratio.partition import EMPTY
+        from hookratio.primes import next_prime_above
+
+        checked = 0
+        for params in (SPORADIC, RatioParams((2,), (1, 3)), RatioParams((3,), (4, 12))):
+            for mu in all_partitions_through(partitions_by_size, 8):
+                if counts_signature(mu, params) >= 0:
+                    continue
+                p, lam = construct_failing_lambda(mu, params)
+                assert p == next_prime_above(largest_hook(mu))
+                assert lam == compose(EMPTY, [mu] * p, p)
+                assert lam.parts == compose(EMPTY, [mu] * p, p).parts
+                checked += 1
+        assert checked >= 50
+
     def test_exponent_is_p_times_signature(self, balanced_grid):
         rng = random.Random(11)
         checked = 0
@@ -674,6 +694,26 @@ class TestDecide:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             decide(RatioParams((2,), (3,)), 10)
+
+    def test_certified_verdict_carries_no_bound(self):
+        # the flow certifies without a search, so no size was searched
+        verdict = decide(RatioParams((2, 3), (4, 4, 6, 6)), 10)
+        assert verdict.status == STATUS_INTEGRAL and verdict.bound is None
+        assert verdict.to_json_dict()["bound"] is None
+
+    @pytest.mark.parametrize("params, bound", [(SPORADIC, 30), (WALKED, 6)])
+    def test_fails_computes_the_signature_once(self, monkeypatch, params, bound):
+        calls = []
+        signature = integral_module.counts_signature
+
+        def counted(mu, params):
+            calls.append(mu)
+            return signature(mu, params)
+
+        monkeypatch.setattr(integral_module, "counts_signature", counted)
+        verdict = decide(params, bound)
+        assert verdict.status == STATUS_FAILS
+        assert calls == [verdict.witness.mu]
 
     @pytest.mark.parametrize(
         "gammas, deltas",

@@ -21,9 +21,11 @@ from hookratio import (
     restricted_hooks,
     valuation_hook_product,
 )
+from hookratio.littlewood import divisible_hook_counts
 
 from conftest import (
     oracle_decompose,
+    oracle_divisible_hook_counts,
     oracle_factorize,
     oracle_hooks,
     oracle_p_core,
@@ -324,6 +326,46 @@ class TestHookCounts:
                     assert hook_count_divisible(lam, m) == sum(
                         1 for h in hooks if h % m == 0
                     ), (lam, m)
+
+    def test_intervals_match_row_oracle(self):
+        moduli = range(1, 20)
+        for n in range(16):
+            for lam in enumerate_partitions(n):
+                assert divisible_hook_counts(lam, moduli) == (
+                    oracle_divisible_hook_counts(lam, moduli)
+                ), lam
+
+    def test_intervals_match_row_oracle_on_long_runs(self):
+        # dilations and random run lists: runs longer than the moduli,
+        # arcs that wrap past the last runner, and short runs beside long
+        rng = random.Random(17)
+        shapes = [
+            Partition.from_runs([(p * v, p * m) for v, m in mu.runs])
+            for mu in (Partition((3, 1, 1)), Partition((6, 4, 2)), Partition((2, 2, 1)))
+            for p in (2, 5, 11, 23)
+        ]
+        for _ in range(150):
+            runs, value = [], rng.randint(40, 400)
+            while value > 0 and len(runs) < 10:
+                runs.append((value, rng.choice([1, 2, 3, 7, 15, 16, 17, 40, 99])))
+                value -= rng.randint(1, 40)
+            shapes.append(Partition.from_runs(runs))
+        shapes.append(Partition(range(300, 0, -1)))  # staircase: all runs of 1
+        for lam in shapes:
+            top = lam.parts[0] + len(lam) - 1
+            moduli = sorted({rng.randint(1, top + 2) for _ in range(25)} | {1, 2, 3})
+            assert divisible_hook_counts(lam, moduli) == (
+                oracle_divisible_hook_counts(lam, moduli)
+            ), lam.runs
+
+    def test_run_built_shape_stays_in_runs(self):
+        # 2 * 10^9 rows: the count reads only the two runs. Every hook is
+        # divisible by 1, and only the corner hook by the largest one.
+        lam = Partition.from_runs([(2 * 10**9, 10**9), (10**9, 10**9)])
+        top = 2 * 10**9 + 2 * 10**9 - 1
+        assert divisible_hook_counts(lam, (1, top)) == {1: lam.size, top: 1}
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
 
     def test_quotient_count_identity(self, partitions_by_size):
         # count divisible by p*k equals the sum of k-counts over quotients

@@ -48,10 +48,101 @@ class TestPartitionType:
         assert hash(lam) == hash(Partition((2, 1)))
         assert Partition((2, 1)) < Partition((3,))
 
+    def test_immutable_when_built_from_runs(self):
+        lam = Partition.from_runs([(2, 1), (1, 1)])
+        with pytest.raises(AttributeError):
+            lam.parts = (3,)
+        with pytest.raises(AttributeError):
+            lam.size = 4
+
     def test_conjugate(self):
         assert Partition((5, 2)).conjugate() == Partition((2, 2, 1, 1, 1))
         assert Partition().conjugate() == Partition()
         assert Partition((3, 1)).conjugate().conjugate() == Partition((3, 1))
+
+
+def rows_to_runs(parts):
+    runs = []
+    for v in parts:
+        if runs and runs[-1][0] == v:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+    return [tuple(r) for r in runs]
+
+
+class TestRuns:
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [(2, 1), (3, 1)],  # increasing values
+            [(3, 1), (3, 2)],  # equal adjacent values
+            [(3, 0)],  # multiplicity below 1
+            [(3, 2), (1, -1)],
+            [(0, 2)],  # value below 1
+            [(2, 1), (-1, 1)],
+        ],
+    )
+    def test_from_runs_rejects(self, runs):
+        with pytest.raises(ValueError):
+            Partition.from_runs(runs)
+
+    def test_runs_view(self):
+        assert Partition((5, 5, 3, 1, 1, 1)).runs == ((5, 2), (3, 1), (1, 3))
+        assert Partition().runs == ()
+        assert Partition.from_runs([]) == Partition()
+
+    def test_row_built_holds_only_its_rows(self):
+        # reading the runs of a row-built partition groups its rows afresh
+        # and stores nothing on it
+        lam = Partition((5, 5, 3, 1, 1, 1))
+        assert Partition.__slots__ == ("parts",) and not hasattr(lam, "__dict__")
+        assert lam.runs == ((5, 2), (3, 1), (1, 3)) and lam.first == 5
+        hash(lam), format_partition(lam), lam == Partition.from_runs(lam.runs)
+        assert lam._runs is None
+
+    def test_first(self):
+        assert Partition((4, 1)).first == 4 and Partition().first == 0
+        assert Partition.from_runs([(7, 10**9)]).first == 7
+        assert Partition.from_runs([]).first == 0
+
+    def test_parts_filled_on_first_read_only(self):
+        lam = Partition.from_runs([(4, 2), (1, 3)])
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+        assert (lam.size, len(lam), bool(lam)) == (11, 5, True)
+        assert format_partition(lam) == "4,4,1,1,1"
+        assert hash(lam) == hash(Partition((4, 4, 1, 1, 1)))
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+        assert lam.parts == (4, 4, 1, 1, 1)
+        assert Partition.parts.__get__(lam) is lam.parts
+
+    def test_huge_run_is_never_expanded(self):
+        lam = Partition.from_runs([(10**12, 10**12)])
+        assert (lam.size, len(lam)) == (10**24, 10**12)
+        assert format_partition(lam) == f"{10**12}^{10**12}"
+        assert lam == Partition.from_runs([(10**12, 10**12)])
+        assert lam != Partition.from_runs([(10**12, 10**12 - 1)])
+
+    def test_run_and_row_built_agree(self, partitions_by_size):
+        import pickle
+
+        shapes = [lam for n in range(9) for lam in partitions_by_size[n]]
+        for lam in shapes:
+            runs = Partition.from_runs(rows_to_runs(lam.parts))
+            rows = Partition(lam.parts)
+            assert runs == rows and rows == runs and hash(runs) == hash(rows)
+            assert (len(runs), runs.size, bool(runs)) == (len(rows), rows.size, bool(rows))
+            assert format_partition(runs) == format_partition(rows)
+            for other in shapes[:40]:
+                fresh = Partition.from_runs(rows_to_runs(other.parts))
+                assert (fresh < runs) == (other < rows)
+                assert (fresh <= runs) == (other <= rows)
+                assert (fresh == runs) == (other == rows)
+            for built in (runs, rows):
+                back = pickle.loads(pickle.dumps(built))
+                assert back == lam and back.parts == lam.parts
 
 
 class TestParseFormat:
