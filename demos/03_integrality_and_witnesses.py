@@ -49,7 +49,8 @@ print("recovered from the tower:", recovered)
 print()
 
 # Witness search: hook shapes are scanned through one period of the step
-# function, everything else by exhaustive enumeration.
+# function; the bounded search walks the M-cores and returns the least
+# witness of the smallest failing size.
 hook_witness = find_failing_mu(params, 0, hooks_only=True)
 small_witness = find_failing_mu(params, 30)
 print("hook shaped witness:   ", hook_witness)

@@ -243,9 +243,7 @@ def _cmd_check(args) -> _Result:
 
 def _cmd_search_mu(args) -> _Result:
     params = _params_arg(args)
-    mu = find_failing_mu(
-        params, args.bound, hooks_only=args.hooks_only, workers=args.workers
-    )
+    mu = find_failing_mu(params, args.bound, hooks_only=args.hooks_only)
     payload = {
         "gamma": list(params.gammas),
         "delta": list(params.deltas),
@@ -442,7 +440,6 @@ def build_parser() -> _Parser:
     _add_params_options(s)
     s.add_argument("--bound", type=int, default=20)
     s.add_argument("--hooks-only", action="store_true", dest="hooks_only")
-    s.add_argument("--workers", type=int, default=1)
 
     s = verb("construct-lambda", _cmd_construct_lambda, "inflate mu into a failing partition")
     s.add_argument("--mu", required=True)

@@ -15,11 +15,12 @@ surrenders a negative-signature mu among its quotient tower labels, since
 the valuation of the ratio at a prime p equals the sum of the counts
 signatures over all quotient tower labels at depth >= 1.
 
-Searching M-cores. For balanced parameters the bounded search only visits
-the M-cores, M the lcm of all entries, walked by charge vector. It returns
-the same partition as enumerating every partition, by these facts (sig is
-the counts signature, N_r the number of hooks divisible by r, and charges
-are those of `littlewood.decompose`):
+Searching M-cores. The bounded search only visits the M-cores, M the lcm
+of all entries, walked by charge vector. It returns the same partition as
+enumerating every partition, by these facts (sig is the counts signature,
+N_r the number of hooks divisible by r, and charges are those of
+`littlewood.decompose`); facts 1-6 assume balance, and fact 8 below lifts
+it:
 
 1. N_r(lam) = (|lam| - |core_r(lam)|) / r. A hook of length divisible by
    r is a bead with an empty position below it on the same runner of the
@@ -73,8 +74,7 @@ missed a core raises InvariantError instead of reporting a clean search.
 The search deepens its limit 1, 2, 4, ... up to the bound: each walk finds
 the least failing core of the smallest failing size within its limit, so
 the first hit is the answer, and a small witness never pays for the table
-of the full budget. Without balance fact 1 keeps a |lam| term, so that
-search enumerates every partition.
+of the full budget.
 
 Certifying by a divisibility flow. `decide` certifies before it searches:
 
@@ -99,6 +99,22 @@ Certifying by a divisibility flow. `decide` certifies before it searches:
    and the certificate is closed under multiset union (add the flows,
    scaled to the common M) and under cancelling an entry on both sides
    (route the flow into it on to where it went out).
+
+Searching without balance.
+
+8. Without balance fact 1 leaves sig(lam) = s |lam| + g(core_M(lam)),
+   with s = sum 1/gamma - sum 1/delta and g the balanced expression of
+   fact 1, which fact 2 still carries from lam to core_M(lam). So 2M sig =
+   m * 2|lam| + the sum of fact 3, with the integer m = sum M/gamma -
+   sum M/delta = M s, and on an M-core 2|lam| is the walk's cost.
+   If m > 0 and lam fails but is not an M-core, its M-core is strictly
+   smaller and s |core| + g < s |lam| + g < 0, so it fails too: as in
+   fact 4 the least failing partition is an M-core and the walk applies
+   with the extra term m * cost. If m < 0, every partition of size < M is
+   an M-core, as an M-hook needs M cells; 1^M has one M-hook, an empty
+   M-core and sig = s M < 0, and it is the lexicographically least
+   partition of size M. So the least failing partition is the walk's
+   below size M, or else 1^M.
 """
 
 from __future__ import annotations
@@ -119,7 +135,6 @@ from .partition import (
     EMPTY,
     Partition,
     construct_hook_partition,
-    enumerate_partitions,
     enumeration_cap_error,
     format_partition,
     hook_multiset,
@@ -133,10 +148,6 @@ STATUS_FAILS = "Fails"
 STATUS_UNKNOWN = "Unknown-UpToBound"
 
 EXIT_CODES = {STATUS_INTEGRAL: 0, STATUS_FAILS: 1, STATUS_UNKNOWN: 2}
-
-# Exhaustive search levels smaller than this are scanned inline even when
-# worker fan-out was requested.
-PARALLEL_MIN_LEVEL = 2048
 
 
 class FactoredRatio:
@@ -265,9 +276,7 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     return sum(sign * counts[m] for sign, m in terms)
 
 
-def _hook_shape_scan(
-    params: RatioParams, max_size: int | None = None
-) -> tuple[int, int] | None:
+def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     """First (arm, leg) pair, ordered by (arm + leg, arm), whose hook shape
     has negative signature; None when the full period grid has none.
 
@@ -277,70 +286,11 @@ def _hook_shape_scan(
     """
     table = build_ftable(params)
     P = table.period
-    top = 2 * P - 2
-    if max_size is not None:
-        top = min(top, max_size - 1)
-    for s in range(0, top + 1):
+    for s in range(0, 2 * P - 1):
         for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
             l = s - a
             if table.f(a) + table.f(l) + table.f(s + 1) - table.f(s) < 0:
                 return (a, l)
-    return None
-
-
-def _scan_level_chunk(args) -> Partition | None:
-    """Least partition with negative signature within one chunk."""
-    gammas, deltas, chunk = args
-    params = RatioParams(gammas, deltas)
-    best = None
-    for lam in chunk:
-        if counts_signature(lam, params) < 0 and (best is None or lam < best):
-            best = lam
-    return best
-
-
-def _pool_size(workers: int, cpus: int | None, chunks: int) -> int:
-    """Worker processes to start: no more than requested, than the machine
-    has CPUs (one when unknown), or than there are chunks to scan."""
-    return min(workers, cpus or 1, chunks)
-
-
-def _enumerate_failing_mu(
-    params: RatioParams, size_bound: int, workers: int
-) -> Partition | None:
-    """Lexicographically least partition with negative counts signature
-    among those of the smallest failing size up to the bound, found by
-    enumerating every partition of each size; independent of the worker
-    count."""
-    pool = None
-    try:
-        for n in range(size_bound + 1):
-            level = list(enumerate_partitions(n))
-            if workers > 1 and len(level) >= PARALLEL_MIN_LEVEL:
-                step = -(-len(level) // workers)
-                chunks = [level[i:i + step] for i in range(0, len(level), step)]
-                if pool is None:
-                    import concurrent.futures
-                    import os
-
-                    pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=_pool_size(workers, os.cpu_count(), len(chunks))
-                    )
-                hits = [
-                    h for h in pool.map(
-                        _scan_level_chunk,
-                        [(params.gammas, params.deltas, c) for c in chunks],
-                    )
-                    if h is not None
-                ]
-                best = min(hits) if hits else None
-            else:
-                best = _scan_level_chunk((params.gammas, params.deltas, level))
-            if best is not None:
-                return best
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return None
 
 
@@ -358,16 +308,25 @@ def _core_counts(M: int, limit: int) -> list[int]:
     return counts
 
 
+def _size_slope(params: RatioParams) -> int:
+    """m = sum M / gamma - sum M / delta, so that 2M sig = m * 2|lam| plus
+    the balanced sum over the cores (fact 8); 0 exactly under balance."""
+    M = params.modulus
+    return sum(M // g for g in params.gammas) - sum(M // d for d in params.deltas)
+
+
 def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     """Lexicographically least M-core with negative signature among those of
-    the smallest failing size up to limit, for balanced params.
+    the smallest failing size up to limit.
 
     A depth-first walk over the charge vectors c (sum 0) with 2|core| =
-    sum_j t_j(c_j) <= 2 * limit, carrying the r-charges and 2M sig as in
-    the module docstring; see there for why this equals the search over
-    every partition and why only the live coordinates (fact 6) can move.
+    sum_j t_j(c_j) <= 2 * limit, carrying the r-charges and the balanced
+    part of 2M sig as in the module docstring, to which a leaf adds m times
+    its cost (fact 8); see there for why this equals the search over every
+    partition and why only the live coordinates (fact 6) can move.
     """
     M = params.modulus
+    slope = _size_slope(params)
     top = 2 * limit
     live = [j for j in range(M) if j < limit or j >= M - limit]
     n = len(live)
@@ -403,7 +362,7 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
         if i == n:
             size = cost // 2
             visited[size] += 1
-            if sig < 0:
+            if sig + slope * cost < 0:
                 if cost < budget or not failing:
                     budget, failing = cost, []
                 failing.append(tuple(c))
@@ -438,51 +397,50 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
 
 def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     """Lexicographically least partition with negative counts signature
-    among those of the smallest failing size up to the bound, for balanced
-    params, found by M-core walks of deepening limit whatever M is.
+    among those of the smallest failing size up to the bound, found by
+    M-core walks of deepening limit whatever M is.
 
-    The search stops at the enumeration cap, read up front, and raises the
-    cap error when the bound lies beyond it and nothing was found.
+    With m < 0 (fact 8) the walks stop below M, and 1^M answers when
+    nothing smaller fails. The search stops at the enumeration cap, read up
+    front, and raises the cap error when the bound lies beyond it and
+    nothing was found.
     """
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
+    M, slope = params.modulus, _size_slope(params)
     # deepen 1, 2, 4, ...; the empty partition, all that a limit of 0 or
     # less admits, never fails
     mu, depth = None, 0
-    while mu is None and depth < limit:
-        depth = min(2 * depth or 1, limit)
+    walk_limit = min(limit, M - 1) if slope < 0 else limit
+    while mu is None and depth < walk_limit:
+        depth = min(2 * depth or 1, walk_limit)
         mu = _least_failing_core(params, depth)
+    if mu is None and slope < 0 and M <= limit:
+        mu = Partition((1,) * M)
     if mu is None and size_bound > cap:
         raise enumeration_cap_error(cap + 1, cap)
     return mu
 
 
 def find_failing_mu(
-    params: RatioParams,
-    size_bound: int,
-    hooks_only: bool = False,
-    workers: int = 1,
+    params: RatioParams, size_bound: int, hooks_only: bool = False
 ) -> Partition | None:
     """Search for a partition with negative counts signature.
 
     With hooks_only, only hook shapes are scanned through the period table
     (no size restriction; this is a complete decision at height 1 and a
-    heuristic otherwise) and balance is required. The full search returns
-    the lexicographically least witness of the smallest failing size up to
-    the bound: for balanced params it tries hook shapes within the bound,
-    then walks the M-cores; otherwise it enumerates every partition, the
-    one search that fans out over workers, independently of their count.
+    heuristic otherwise) and balance is required. Otherwise, balanced or
+    not, it returns the lexicographically least partition with negative
+    signature among those of the smallest failing size up to the bound, or
+    None when no partition of size <= size_bound fails, from the M-core
+    walk (facts 4 and 8). A bound beyond the enumeration cap raises the cap
+    error unless a partition within the cap fails.
     """
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
     if hooks_only:
         found = _hook_shape_scan(params)
         return construct_hook_partition(*found) if found else None
-    if not params.is_balanced:
-        return _enumerate_failing_mu(params, size_bound, workers)
-    found = _hook_shape_scan(params, max_size=size_bound)
-    if found:
-        return construct_hook_partition(*found)
     return _least_failing_mu(params, size_bound)
 
 
@@ -691,7 +649,6 @@ def decide(params: RatioParams, size_bound: int) -> Verdict:
     if _certified_by_flow(params):
         # a certified pair is never searched, so it carries no bound
         return Verdict(params, STATUS_INTEGRAL)
-    # the bounded scan inside find_failing_mu is a subset of this one
     found = _hook_shape_scan(params)
     if found is not None:
         mu = construct_hook_partition(*found)

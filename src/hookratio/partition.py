@@ -80,7 +80,7 @@ class Partition:
 
         A row-built partition groups its rows afresh on each read."""
         # from a list: tuple() over a generator left a higher peak RSS on
-        # the unbalanced search, which reads the runs of every partition
+        # an enumeration that reads the runs of every partition
         return tuple([(v, len(list(g))) for v, g in groupby(self.parts)])
 
     @property

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hookratio import RatioParams, enumerate_partitions
+from hookratio import RatioParams, counts_signature, enumerate_partitions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -201,6 +201,21 @@ def signature_from_charges(charges, params):
     return sig
 
 
+def oracle_least_failing_mu(params, bound):
+    """Lexicographically least partition with negative counts signature
+    among those of the smallest failing size up to the bound, by
+    enumerating every partition of each size in turn; it raises the
+    enumeration cap error at the first size beyond the cap."""
+    for n in range(bound + 1):
+        failing = [
+            lam for lam in enumerate_partitions(n)
+            if counts_signature(lam, params) < 0
+        ]
+        if failing:
+            return min(failing)
+    return None
+
+
 def oracle_whitelist(params):
     """The certificate decide used before the divisibility flow: a single
     gamma dividing every delta (with balance). It covers the multinomial
@@ -237,6 +252,23 @@ def balanced_parameter_grid(max_entry=8, max_len=4):
                 if a != b and not (set(a) & set(b)):
                     grid.append(RatioParams(a, b))
     return sorted(set(grid), key=lambda p: (p.gammas, p.deltas))
+
+
+def unbalanced_parameter_grid(max_entry=6, max_len=2):
+    """Every ordered pair of disjoint multisets from {1..max_entry} (entries
+    as vectors, sizes 1..max_len) whose reciprocal sums differ."""
+    sides = [
+        ms for r in range(1, max_len + 1)
+        for ms in combinations_with_replacement(range(1, max_entry + 1), r)
+    ]
+    grid = {
+        RatioParams(a, b) for a in sides for b in sides
+        if not (set(a) & set(b))
+    }
+    return sorted(
+        (p for p in grid if not p.is_balanced),
+        key=lambda p: (p.gammas, p.deltas),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 
-import hookratio.integral as integral_module
 from hookratio.cli import run
 
 from conftest import source_env
@@ -182,19 +181,13 @@ class TestCheckVerb:
 
 
 class TestSearchMuVerb:
-    def test_byte_identical_across_workers(self, capsys, monkeypatch):
-        # every level of the unbalanced search goes to the pool
-        monkeypatch.setattr(integral_module, "PARALLEL_MIN_LEVEL", 1)
-        outputs = []
-        for workers in ("1", "3"):
-            code, out, _ = invoke(
-                capsys, "search-mu", "--gamma", "5,5", "--delta", "6,6",
-                "--bound", "8", "--workers", workers, "--json",
-            )
-            assert code == 1 and out
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["mu"] == "2,1^4"
+    def test_has_no_workers_option(self, capsys):
+        code, out, err = invoke(
+            capsys, "search-mu", "--gamma", "5,5", "--delta", "6,6",
+            "--bound", "8", "--workers", "2",
+        )
+        assert code == 64 and out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_hooks_only(self, capsys):
         code, out, _ = invoke(

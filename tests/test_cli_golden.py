@@ -38,6 +38,8 @@ VERBS = [
     ["check", "--gamma", "1,30", "--delta", "2,3,5", "--bound", "30"],
     ["search-mu", "--gamma", "1", "--delta", "2,2", "--bound", "8"],
     ["search-mu", "--gamma", "1,30", "--delta", "2,3,5", "--hooks-only"],
+    ["search-mu", "--gamma", "1,4,4", "--delta", "2,2,3,6"],
+    ["search-mu", "--gamma", "1", "--delta", "2,3,3", "--bound", "8"],
     ["construct-lambda", "--mu", "2,1", "--gamma", "2", "--delta", "3,6"],
     ["extract-mu", "--partition", "66^55", "--p", "11", "--gamma", "1,30", "--delta", "2,3,5"],
     ["height1", "--gamma", "3", "--delta", "4,12"],

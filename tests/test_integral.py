@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hookratio.integral as integral_module
+import hookratio.partition as partition_module
 from hookratio import (
     STATUS_FAILS,
     STATUS_INTEGRAL,
@@ -37,10 +38,12 @@ from hookratio import (
 from conftest import (
     all_partitions_through,
     exact_ratio_value,
+    oracle_least_failing_mu,
     oracle_ratio_valuation,
     oracle_whitelist,
     signature_from_charges,
     source_env,
+    unbalanced_parameter_grid,
 )
 from hookratio.partition import MAX_SIZE_ENV_VAR
 
@@ -229,45 +232,22 @@ class TestFindFailingMu:
     def test_unbalanced_exhaustive(self):
         assert find_failing_mu(RatioParams((2,), (3,)), 5) == Partition((2, 1))
 
-    def test_worker_fanout_is_deterministic(self, monkeypatch):
-        monkeypatch.setattr(integral_module, "PARALLEL_MIN_LEVEL", 1)
-        params = RatioParams((2,), (3,))
-        assert find_failing_mu(params, 5, workers=3) == find_failing_mu(params, 5)
-        # four failing partitions of 6, spread over both chunks of that level
-        params = RatioParams((5, 5), (6, 6))
-        assert find_failing_mu(params, 8, workers=2) == parse_partition("2,1^4")
-        assert find_failing_mu(params, 8) == parse_partition("2,1^4")
-
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             find_failing_mu(SPORADIC, -1)
 
-    @pytest.mark.parametrize(
-        "workers, cpus, chunks, size",
-        [
-            (2, 2, 2, 2),
-            (5000, 2, 5000, 2),
-            (5000, 64, 3, 3),
-            (3, 64, 10, 3),
-            (4, None, 4, 1),
-        ],
-    )
-    def test_pool_size_is_capped(self, workers, cpus, chunks, size):
-        # arithmetic only: no pool is started here
-        assert integral_module._pool_size(workers, cpus, chunks) == size
 
-
-def _search_outcome(search, params, bound, *args):
+def _search_outcome(search, params, bound):
     """What a search returns, or the message of the ValueError it raises."""
     try:
-        return search(params, bound, *args)
+        return search(params, bound)
     except ValueError as exc:
         return str(exc)
 
 
 class TestCoreSearch:
     """The walk over M-core charge vectors against the enumeration of every
-    partition, which it replaces for every balanced search."""
+    partition, which it replaces for every search, balanced or not."""
 
     def test_signature_from_charges_matches_counts_signature(
         self, partitions_by_size, balanced_grid
@@ -311,8 +291,8 @@ class TestCoreSearch:
     def _assert_matches_enumeration(pairs, bound):
         checked = 0
         for params in pairs:
-            walked = integral_module._least_failing_mu(params, bound)
-            enumerated = integral_module._enumerate_failing_mu(params, bound, 1)
+            walked = find_failing_mu(params, bound)
+            enumerated = oracle_least_failing_mu(params, bound)
             assert walked == enumerated, (params, walked, enumerated)
             checked += 1
         return checked
@@ -334,27 +314,53 @@ class TestCoreSearch:
             parse_partition("2^6,1^18")
         )
 
-    def test_walks_when_balanced_and_enumerates_only_without_balance(
-        self, monkeypatch
-    ):
-        def walking(params, limit):
-            raise AssertionError(f"the M-core walk ran for {params}")
-
-        def enumerating(n):
+    def test_no_search_enumerates_balanced_or_not(self, monkeypatch):
+        # every enumeration, however enumerate_partitions was imported,
+        # runs through this generator
+        def enumerating(n, maxpart):
             raise AssertionError(f"partitions of {n} were enumerated")
 
-        # M = 30 lies above the bound 12, and M = 12 above the cap 8
-        monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
+        monkeypatch.setattr(partition_module, "_descending_partitions", enumerating)
+        # M = 30 lies above the bound 12
         assert find_failing_mu(RatioParams((3, 5), (6, 6, 10, 10)), 12) is None
-        monkeypatch.setenv(MAX_SIZE_ENV_VAR, "8")
-        search = integral_module._least_failing_mu
-        assert _search_outcome(search, RatioParams((1, 6), (2, 2, 12, 12)), 14) == (
-            "enumeration size 9 exceeds the configured cap 8 "
-            "(set HOOKRATIO_MAX_SIZE to raise it)"
-        )
-        monkeypatch.undo()
-        monkeypatch.setattr(integral_module, "_least_failing_core", walking)
+        # without balance: m > 0, and m < 0 with 1^M as the answer
         assert find_failing_mu(RatioParams((2,), (3,)), 5) == Partition((2, 1))
+        assert find_failing_mu(RatioParams((1,), (2, 3, 3)), 8) == (
+            parse_partition("1^6")
+        )
+        # nothing fails within the cap 8, balanced (M = 12 above the cap)
+        # or with m > 0
+        monkeypatch.setenv(MAX_SIZE_ENV_VAR, "8")
+        for params in (
+            RatioParams((1, 6), (2, 2, 12, 12)),
+            RatioParams((1,), (12,)),
+        ):
+            assert _search_outcome(find_failing_mu, params, 14) == (
+                "enumeration size 9 exceeds the configured cap 8 "
+                "(set HOOKRATIO_MAX_SIZE to raise it)"
+            )
+
+    def test_matches_enumeration_without_balance(self):
+        pairs = unbalanced_parameter_grid(max_entry=6, max_len=2)
+        assert len(pairs) == 438
+        assert self._assert_matches_enumeration(pairs, 10) == 438
+
+    @pytest.mark.parametrize(
+        "gammas, deltas, bound, mu",
+        [
+            # m < 0: a failing partition below M = 2
+            ((1,), (2, 2, 2), 10, "1,1"),
+            # m < 0: nothing below M = 6 fails, so 1^M is the answer
+            ((1,), (2, 3, 3), 10, "1^6"),
+            # four failing partitions of 6, the least of them returned
+            ((5, 5), (6, 6), 8, "2,1^4"),
+        ],
+    )
+    def test_unbalanced_least_witness(self, gammas, deltas, bound, mu):
+        params = RatioParams(gammas, deltas)
+        assert not params.is_balanced
+        assert find_failing_mu(params, bound) == parse_partition(mu)
+        assert oracle_least_failing_mu(params, bound) == parse_partition(mu)
 
     @pytest.mark.parametrize("cap", ["-1", "0", "5", "6", "11", "12", "abc"])
     @pytest.mark.parametrize(
@@ -363,17 +369,20 @@ class TestCoreSearch:
             ((1, 1), (2, 2, 2, 2), 8),
             ((2,), (5, 10, 10, 10), 12),
             ((1, 6), (2, 3, 4, 12), 14),
+            ((2,), (3,), 8),
+            ((1,), (2, 3, 3), 8),
         ],
     )
     def test_cap_behaves_as_the_enumeration(
         self, cap, gammas, deltas, bound, monkeypatch
     ):
-        # the least failing partitions are empty, 3,2,1 and 4,4,1^4: a cap
-        # below a witness raises, and a cap at or above it returns it
+        # the least failing partitions are none, 3,2,1, 4,4,1^4, 2,1 (m > 0)
+        # and 1^6 (m < 0, M = 6): a cap below a witness raises, and a cap
+        # at or above it returns it
         monkeypatch.setenv(MAX_SIZE_ENV_VAR, cap)
         params = RatioParams(gammas, deltas)
-        assert _search_outcome(integral_module._least_failing_mu, params, bound) == (
-            _search_outcome(integral_module._enumerate_failing_mu, params, bound, 1)
+        assert _search_outcome(find_failing_mu, params, bound) == (
+            _search_outcome(oracle_least_failing_mu, params, bound)
         )
 
     def test_cap_error_message(self, monkeypatch):
@@ -388,10 +397,12 @@ class TestCoreSearch:
     def test_decide_enumerates_no_partition_when_M_is_within_bound(
         self, monkeypatch
     ):
-        def enumerating(n):
+        # every enumeration, however enumerate_partitions was imported,
+        # runs through this generator
+        def enumerating(n, maxpart):
             raise AssertionError(f"partitions of {n} were enumerated")
 
-        monkeypatch.setattr(integral_module, "enumerate_partitions", enumerating)
+        monkeypatch.setattr(partition_module, "_descending_partitions", enumerating)
         verdict = decide(WALKED, 28)
         assert verdict.status == STATUS_FAILS
         assert verdict.witness.mu == parse_partition("3,2,1")
