@@ -20,6 +20,8 @@ independently testable sanity layer, never as a shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, eq, lt
 from typing import Iterable
 
 from .integral import (
@@ -131,11 +133,13 @@ def period_sets(params: RatioParams) -> PeriodSets:
         )
     P = table.period
     vals = table.values[:P]
-    A0 = frozenset(x for x in range(P) if vals[x] == 0)
-    A1 = frozenset(x for x in range(P) if vals[x] == 1)
-    Y = frozenset(
-        y for y in range(P) if vals[y] == 1 and vals[(y + 1) % P] == 0
-    )
+    # f at y + 1 for each residue y, cyclically
+    after = chain(islice(vals, 1, None), vals[:1])
+    A0 = frozenset(compress(range(P), map(eq, vals, repeat(0))))
+    A1 = frozenset(compress(range(P), map(eq, vals, repeat(1))))
+    Y = frozenset(compress(range(P), map(
+        and_, map(eq, vals, repeat(1)), map(eq, after, repeat(0))
+    )))
     # A0 and A1 are disjoint, so two halves of the period also cover it
     if not len(A0) * 2 == len(A1) * 2 == P or P - 1 not in Y:
         raise Height1ContradictionError(
@@ -176,7 +180,7 @@ def decide_height1(params: RatioParams) -> Verdict:
     _require_height1(params)
     table = build_ftable(params)
     if table.min < 0:
-        x = min(x for x in range(table.M) if table.values[x] < 0)
+        x = next(compress(count(), map(lt, table.values, repeat(0))))
         return _verified_fails(params, Partition((x,)), None)
     found = find_hook_witness(params)
     if found is not None:

@@ -283,14 +283,25 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     The signature of the hook shape (1+a, 1^l) telescopes to
     f(a) + f(l) + f(a+l+1) - f(a+l), which only depends on the residues of
     a and l, so scanning a, l in [0, P) covers every hook shape.
+
+    f is read from one period doubled into a plain tuple, which holds it at
+    every argument up to 2P - 1 >= a + l + 1. The pairs are visited in
+    (a + l, a) order and the scan returns at the first negative signature,
+    f(a) + f(l) < f(s) - f(s+1) with s = a + l. A diagonal s whose drop
+    f(s) - f(s+1) is at most 2 min f holds no such pair and is skipped, so
+    the first hit is the one the full grid gives.
     """
     table = build_ftable(params)
     P = table.period
+    f = table.values[:P] * 2
+    least_pair = 2 * table.min
     for s in range(0, 2 * P - 1):
+        drop = f[s] - f[s + 1]
+        if drop <= least_pair:
+            continue
         for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
-            l = s - a
-            if table.f(a) + table.f(l) + table.f(s + 1) - table.f(s) < 0:
-                return (a, l)
+            if f[a] + f[s - a] < drop:
+                return (a, s - a)
     return None
 
 
@@ -408,12 +419,14 @@ def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
     M, slope = params.modulus, _size_slope(params)
-    # deepen 1, 2, 4, ...; the empty partition, all that a limit of 0 or
-    # less admits, never fails
+    # deepen 1, 2, 4, ..., but go straight to the walk limit once doubling
+    # again would reach or pass it: the walk to the limit repeats the answer
+    # of any walk beyond half of it at little more cost. The empty
+    # partition, all that a limit of 0 or less admits, never fails
     mu, depth = None, 0
     walk_limit = min(limit, M - 1) if slope < 0 else limit
     while mu is None and depth < walk_limit:
-        depth = min(2 * depth or 1, walk_limit)
+        depth = walk_limit if 4 * depth > walk_limit else 2 * depth or 1
         mu = _least_failing_core(params, depth)
     if mu is None and slope < 0 and M <= limit:
         mu = Partition((1,) * M)

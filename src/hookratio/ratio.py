@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, repeat
 from math import gcd, lcm
+from operator import add, eq, floordiv, sub
 
-from .primes import divisors
+from .primes import factorize
 
 
 class InvariantError(RuntimeError):
@@ -149,8 +151,16 @@ class FTable:
 # lru_cache because bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M) and find the minimal period P, trying the
-    divisors of M (built from its factorization) in increasing order.
+    """Tabulate f over [0, M) and find the minimal period P.
+
+    The values come from one column pass per parameter, floor(x / r) over
+    the whole window, summed with the signs of f. The period is found by
+    prime descent from M: for each prime q of M in turn, divide P by q
+    while P / q is still a period. The periods of f that divide M are
+    closed under gcd, so they are exactly the divisors of M that are
+    multiples of the least period. The descent at q therefore stops only
+    once q no longer divides P over the least period, later primes keep
+    it so, and P ends at the least period.
 
     Raises for unbalanced parameters, where f is unbounded and has no
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
@@ -161,13 +171,24 @@ def build_ftable(params: RatioParams) -> FTable:
             f"parameters {params} are not balanced; the period is undefined"
         )
     M = params.modulus
-    values = tuple(f_value(x, params) for x in range(M))
-    period = next(
-        P for P in divisors(M)
-        if all(values[x] == values[x % P] for x in range(M))
-    )
+    window = range(M)
+    first, *rest = params.gammas
+    total = map(floordiv, window, repeat(first))
+    for g in rest:
+        total = map(add, total, map(floordiv, window, repeat(g)))
+    for d in params.deltas:
+        total = map(sub, total, map(floordiv, window, repeat(d)))
+    values = tuple(total)
+    period = M
+    for q, _ in factorize(M):
+        # f(x + P / q) = f(x) across the window makes P / q a period of f,
+        # since P / q divides M
+        while period % q == 0 and all(
+            map(eq, islice(values, period // q, None), values)
+        ):
+            period //= q
     height = params.height
-    if not all(values[x] + values[M - 1 - x] == height for x in range(M)):
+    if not all(map(eq, map(add, values, reversed(values)), repeat(height))):
         raise InvariantError(f"reflection identity fails for {params}")
     if values[period - 1] != height:
         raise InvariantError(f"f(P - 1) != L - K for {params}")

@@ -10,6 +10,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,96 @@ def oracle_least_failing_mu(params, bound):
         if failing:
             return min(failing)
     return None
+
+
+def oracle_ftable(params):
+    """(values, period) of f over the window [0, M), tabulated the way
+    build_ftable did before its column passes: f_value at each x, then the
+    first divisor P of M for which the window repeats with period P."""
+    from hookratio import f_value
+
+    M = params.modulus
+    values = tuple(f_value(x, params) for x in range(M))
+    period = next(
+        P for P in range(1, M + 1)
+        if M % P == 0 and all(values[x] == values[x % P] for x in range(M))
+    )
+    return values, period
+
+
+def oracle_hook_shape_scan(params):
+    """First (arm, leg), ordered by (arm + leg, arm), whose hook shape has
+    negative signature f(a) + f(l) + f(a+l+1) - f(a+l), over the grid
+    [0, P)^2, reading f through FTable.f: the scan as it was before it read
+    a doubled period."""
+    from hookratio import build_ftable
+
+    table = build_ftable(params)
+    P = table.period
+    for s in range(0, 2 * P - 1):
+        for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
+            l = s - a
+            if table.f(a) + table.f(l) + table.f(s + 1) - table.f(s) < 0:
+                return (a, l)
+    return None
+
+
+def stretched(params, k):
+    """params with its modulus read as k times the lcm: f is unchanged, so
+    a table over the window [0, kM) repeats with period M < kM. No pair of
+    disjoint vectors has a period below its lcm, so this is how a test puts
+    the period search below M."""
+
+    class Stretched(RatioParams):
+        @property
+        def modulus(self):
+            return k * super().modulus
+
+    return Stretched(params.gammas, params.deltas)
+
+
+def random_balanced_pairs(rng, count, max_modulus):
+    """count distinct balanced pairs with modulus <= max_modulus: phi-images
+    of Bober family instances at random coprime (x, y), integer multiples
+    of them, and cancelled unions of two of these."""
+    from hookratio import bober_families, phi_bijection
+
+    def one():
+        while True:
+            x, y = rng.randint(1, 60), rng.randint(1, 60)
+            if gcd(x, y) != 1:
+                continue
+            alpha, beta = rng.choice(bober_families(x, y))
+            if set(alpha) & set(beta):
+                continue
+            params = phi_bijection(RatioParams(alpha, beta))
+            k = rng.choice((1, 1, 2, 3))
+            return [k * g for g in params.gammas], [k * d for d in params.deltas]
+
+    pairs = set()
+    while len(pairs) < count:
+        gammas, deltas = one()
+        if rng.random() < 0.3:
+            more_gammas, more_deltas = one()
+            gammas, deltas = gammas + more_gammas, deltas + more_deltas
+        try:
+            params = RatioParams.normalized(gammas, deltas)
+        except ValueError:  # everything cancelled on one side
+            continue
+        if params.modulus <= max_modulus:
+            pairs.add(params)
+    return sorted(pairs, key=lambda p: (p.modulus, p.gammas, p.deltas))
+
+
+# the pairs of the witness benchmark: phi-images of Bober families up to the
+# M = 1,710 case ((19), (10, 9)) under phi
+WITNESS_LADDER = (
+    RatioParams((35,), (60, 84)),
+    RatioParams((56,), (105, 120)),
+    RatioParams((35, 168), (70, 84, 120)),
+    RatioParams((45, 252), (90, 126, 140)),
+    RatioParams((90,), (171, 190)),
+)
 
 
 def oracle_whitelist(params):

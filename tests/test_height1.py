@@ -5,6 +5,7 @@ import pytest
 
 import hookratio.height1 as height1_module
 import hookratio.partition as partition_module
+from conftest import oracle_hook_shape_scan
 from hookratio import (
     Height1ContradictionError,
     Partition,
@@ -18,6 +19,7 @@ from hookratio import (
     decide_height1,
     find_hook_witness,
     is_canonical_exception,
+    landau_one_row_check,
     period_sets,
     phi_bijection,
     ratio_valuation,
@@ -65,6 +67,21 @@ class TestPeriodSets:
     def test_one_row_failure_rejected(self):
         with pytest.raises(ValueError):
             period_sets(RatioParams((3, 4), (2, 24, 24)))
+
+    def test_matches_per_residue_definition(self, balanced_grid):
+        pairs = [p for p in balanced_grid if p.height == 1]
+        pairs += [params for _, params in valid_bober_images(6)]
+        pairs = [p for p in pairs if landau_one_row_check(p)]
+        assert len(pairs) > 6
+        for params in pairs:
+            table = build_ftable(params)
+            vals, P = table.values, table.period
+            sets = period_sets(params)
+            assert sets.A0 == {x for x in range(P) if vals[x] == 0}
+            assert sets.A1 == {x for x in range(P) if vals[x] == 1}
+            assert sets.Y == {
+                y for y in range(P) if vals[y] == 1 and vals[(y + 1) % P] == 0
+            }
 
     def test_invariants_over_family_images(self):
         for _, params in valid_bober_images(5):
@@ -207,6 +224,21 @@ class TestDecideHeight1:
         assert verdict.witness.to_json_dict()["lambda"].count(",") == 1
         with pytest.raises(AttributeError):
             Partition.parts.__get__(lam)
+
+    def test_hook_witness_matches_oracle_on_family_images(self):
+        for _, params in valid_bober_images(6):
+            assert find_hook_witness(params) == oracle_hook_shape_scan(params)
+
+    def test_one_row_witness_is_the_least_negative_x(self, balanced_grid):
+        pairs = [
+            p for p in balanced_grid
+            if p.height == 1 and not landau_one_row_check(p)
+        ]
+        assert len(pairs) == 27
+        for params in pairs:
+            values = build_ftable(params).values
+            least = min(x for x in range(len(values)) if values[x] < 0)
+            assert decide_height1(params).witness.mu == Partition((least,))
 
     def test_bober_images_all_fail(self):
         for (x, y), params in valid_bober_images(6):

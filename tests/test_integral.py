@@ -36,8 +36,10 @@ from hookratio import (
 )
 
 from conftest import (
+    WITNESS_LADDER,
     all_partitions_through,
     exact_ratio_value,
+    oracle_hook_shape_scan,
     oracle_least_failing_mu,
     oracle_ratio_valuation,
     oracle_whitelist,
@@ -188,6 +190,32 @@ class TestCountsSignature:
                 for params in [SPORADIC] + balanced_grid:
                     total = sum(c * g_value(h, params) for h, c in hooks)
                     assert counts_signature(lam, params) == total, (lam, params)
+
+
+class TestHookShapeScan:
+    """The scan over a doubled period against the scan through FTable.f."""
+
+    @staticmethod
+    def _assert_matches_oracle(pairs):
+        hits = 0
+        for params in pairs:
+            found = integral_module._hook_shape_scan(params)
+            assert found == oracle_hook_shape_scan(params), params
+            hits += found is not None
+        return hits
+
+    def test_matches_oracle_on_grid_and_survey(self, balanced_grid, survey_grid):
+        # both with and without a hit
+        assert self._assert_matches_oracle(balanced_grid) == 166 - 23
+        assert self._assert_matches_oracle(survey_grid) == 850 - 49
+
+    def test_matches_oracle_on_witness_ladder(self):
+        assert self._assert_matches_oracle(WITNESS_LADDER) == 5
+
+    def test_hit_at_m_442860(self):
+        params = RatioParams((3660,), (7260, 7381))
+        assert params.modulus == 442_860
+        assert integral_module._hook_shape_scan(params) == (3600, 3659)
 
 
 class TestFindFailingMu:
@@ -410,12 +438,8 @@ class TestCoreSearch:
         verdict = decide(WALKED, 5)
         assert verdict.status == STATUS_UNKNOWN
 
-    @pytest.mark.parametrize(
-        "bound, limits", [(16, [1, 2, 4, 8]), (5, [1, 2, 4, 5]), (0, [])]
-    )
-    def test_search_deepens_its_limit(self, bound, limits, monkeypatch):
-        # 3,2,1 fails at size 6, inside the limit 8; below 6 nothing fails,
-        # so the search stops at the bound
+    @staticmethod
+    def _recorded_limits(monkeypatch):
         seen = []
         walk = integral_module._least_failing_core
 
@@ -424,9 +448,32 @@ class TestCoreSearch:
             return walk(params, limit)
 
         monkeypatch.setattr(integral_module, "_least_failing_core", recorded)
+        return seen
+
+    @pytest.mark.parametrize(
+        "bound, limits", [(16, [1, 2, 4, 8]), (5, [1, 2, 5]), (0, [])]
+    )
+    def test_search_deepens_its_limit(self, bound, limits, monkeypatch):
+        # 3,2,1 fails at size 6, inside the limit 8; below 6 nothing fails,
+        # so the search stops at the bound, reached from 2 since doubling 4
+        # would pass it
+        seen = self._recorded_limits(monkeypatch)
         mu = integral_module._least_failing_mu(WALKED, bound)
         assert seen == limits
         assert mu == (parse_partition("3,2,1") if bound >= 6 else None)
+
+    @pytest.mark.parametrize(
+        "bound, limits", [(34, [1, 2, 4, 8, 16, 34]), (16, [1, 2, 4, 8, 16])]
+    )
+    def test_search_skips_the_walk_that_the_limit_repeats(
+        self, bound, limits, monkeypatch
+    ):
+        # nothing fails up to 34 (m > 0 without balance), so every walk
+        # runs; at 34 a limit-32 walk would be repeated by the last one
+        seen = self._recorded_limits(monkeypatch)
+        params = RatioParams((1, 1), (2, 3, 7))
+        assert integral_module._least_failing_mu(params, bound) is None
+        assert seen == limits
 
 
 # partitions of at most 20 cells: parts drawn until the next would overflow

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hookratio.ratio as ratio_module
 from hookratio import (
+    InvariantError,
     RatioParams,
     bober_families,
     build_ftable,
@@ -17,6 +18,13 @@ from hookratio import (
     phi_bijection,
 )
 from hookratio.primes import factorize
+
+from conftest import (
+    WITNESS_LADDER,
+    oracle_ftable,
+    random_balanced_pairs,
+    stretched,
+)
 
 CHEBYSHEV = RatioParams((30, 1), (2, 3, 5))
 PAPER_ROW = (
@@ -141,6 +149,60 @@ class TestFTable:
                 and all(table.values[x] == table.values[x % d] for x in range(M))
             )
             assert table.period == scanned, params
+
+    @staticmethod
+    def _assert_matches_oracle(pairs):
+        for params in pairs:
+            table = build_ftable(params)
+            assert (table.values, table.period) == oracle_ftable(params), params
+        return len(pairs)
+
+    def test_matches_per_x_oracle_on_grid_and_survey(
+        self, balanced_grid, survey_grid
+    ):
+        assert self._assert_matches_oracle(balanced_grid) == 166
+        assert self._assert_matches_oracle(survey_grid) == 850
+
+    def test_matches_per_x_oracle_on_witness_ladder(self):
+        assert self._assert_matches_oracle(WITNESS_LADDER) == 5
+
+    def test_matches_per_x_oracle_on_random_pairs(self):
+        pairs = random_balanced_pairs(random.Random(12), 12, 100_000)
+        assert max(params.modulus for params in pairs) > 50_000
+        assert self._assert_matches_oracle(pairs) == 12
+        # disjoint vectors have no period below the lcm
+        assert all(build_ftable(p).period == p.modulus for p in pairs)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 12])
+    def test_period_below_the_window_matches_oracle(self, k, balanced_grid):
+        # a window of k periods: the descent must strip every prime of k,
+        # and no more; uncached, so that no stretched table is memoised
+        for params in (stretched(p, k) for p in balanced_grid[::8]):
+            table = build_ftable.__wrapped__(params)
+            assert (table.values, table.period) == oracle_ftable(params), params
+            assert table.period * k == table.M
+
+    @staticmethod
+    def _corrupt_first_gamma(monkeypatch, params, offsets):
+        # the column pass of the first gamma adds offsets[x] at x
+        first = params.gammas[0]
+
+        def patched(x, r):
+            return x // r + (offsets.get(x, 0) if r == first else 0)
+
+        monkeypatch.setattr(ratio_module, "floordiv", patched)
+
+    def test_reflection_check_catches_a_corrupted_table(self, monkeypatch):
+        self._corrupt_first_gamma(monkeypatch, CHEBYSHEV, {1: 1})
+        with pytest.raises(InvariantError, match="reflection identity"):
+            build_ftable.__wrapped__(CHEBYSHEV)
+
+    def test_corner_check_catches_a_corrupted_table(self, monkeypatch):
+        # f(0) - 1 and f(M - 1) + 1 keep every reflected pair summing to
+        # L - K, so only the corner check can see it
+        self._corrupt_first_gamma(monkeypatch, CHEBYSHEV, {0: -1, 29: 1})
+        with pytest.raises(InvariantError, match=r"f\(P - 1\) != L - K"):
+            build_ftable.__wrapped__(CHEBYSHEV)
 
     @pytest.mark.parametrize("memo", [build_ftable, factorize])
     def test_memo_is_bounded(self, memo):
