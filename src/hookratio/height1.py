@@ -19,11 +19,11 @@ independently testable sanity layer, never as a shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, lt
 from typing import Iterable
 
+from ._record import record
 from .integral import (
     STATUS_INTEGRAL,
     Verdict,
@@ -40,7 +40,7 @@ class Height1ContradictionError(InvariantError):
     witness scan for parameters other than the canonical exception."""
 
 
-@dataclass(frozen=True)
+@record
 class PeriodSets:
     """Level sets of f over one period, plus the drop set.
 
@@ -55,7 +55,7 @@ class PeriodSets:
     Y: frozenset[int]
 
 
-@dataclass(frozen=True)
+@record
 class SumsetReport:
     """A + B over Z/P together with the stabilizer of the sumset and both
     sides of the Kneser inequality |A+B| >= |A+S| + |B+S| - |S|."""

@@ -120,10 +120,9 @@ Searching without balance.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._record import record
 from .littlewood import (
     _assemble,
     _walk,
@@ -141,7 +140,10 @@ from .partition import (
     max_enumeration_size,
 )
 from .primes import factorize, is_prime, next_prime_above
-from .ratio import InvariantError, RatioParams, build_ftable
+from .ratio import InvariantError, RatioParams, _reciprocal_sums_agree, build_ftable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 STATUS_INTEGRAL = "Integral-Certified"
 STATUS_FAILS = "Fails"
@@ -176,6 +178,8 @@ class FactoredRatio:
     def value(self) -> Fraction:
         """Reconstruct the exact rational (verification mode only; the
         numbers can be astronomically large)."""
+        from fractions import Fraction
+
         num = den = 1
         for p, e in self._exponents.items():
             if e > 0:
@@ -539,13 +543,13 @@ def check_divisor_family(lam: Partition, x: int, deltas: Sequence[int]) -> bool:
     bad = [d for d in deltas if d % x != 0]
     if bad:
         raise ValueError(f"{x} does not divide {bad}")
-    if Fraction(1, x) != sum(Fraction(1, d) for d in deltas):
+    if not _reciprocal_sums_agree((x,), deltas):
         raise ValueError(f"1/{x} != sum of reciprocals of {deltas}")
     exps = _vector_ratio_exponents(lam, (x,), deltas)
     return all(e >= 0 for e in exps.values())
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """A verified non-integrality certificate."""
 
@@ -561,8 +565,17 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
+    """The answer of :func:`decide` for one pair.
+
+    status is one of STATUS_INTEGRAL, STATUS_FAILS and STATUS_UNKNOWN. A
+    Fails verdict carries its re-verified witness and the p-adic valuation
+    (negative) of the ratio at the witness partition. bound is the size
+    bound of the search behind the verdict, None where nothing was searched
+    (a certified pair, the height 1 decision).
+    """
+
     params: RatioParams
     status: str
     witness: Witness | None = None

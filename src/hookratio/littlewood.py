@@ -23,16 +23,16 @@ position below it, and its length is their distance.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .partition import EMPTY, Partition, format_partition
 from .primes import is_prime
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LittlewoodDecomposition:
     """Core, quotients and per-residue charges of one partition at p."""
 

@@ -12,13 +12,12 @@ integer arguments only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, eq, floordiv, sub
 
+from ._record import record
 from .primes import factorize
 
 
@@ -27,19 +26,23 @@ class InvariantError(RuntimeError):
     computation is wrong, not the input. Unlike assert, never stripped."""
 
 
-@dataclass(frozen=True)
+@record
 class RatioParams:
     """The (gammas, deltas) pair defining a hook product ratio.
 
     No entry may appear on both sides (a shared entry would cancel from the
     ratio identically; use :meth:`normalized` to cancel first). Height is
-    the excess of denominator factors, L - K. Balance is tested in exact
-    rational arithmetic; no decision path here touches floating point.
+    the excess of denominator factors, L - K. Balance, sum 1/gamma_k =
+    sum 1/delta_l, is decided once, in integers: with M the lcm of all
+    entries it is the same identity multiplied by M, sum M // gamma_k =
+    sum M // delta_l, where every quotient is exact. No decision path here
+    touches floating point.
     """
 
     gammas: tuple[int, ...]
     deltas: tuple[int, ...]
-    _balanced: bool = field(init=False, repr=False, compare=False)
+    # _balanced is set by __post_init__ and, not being annotated, is no
+    # field: it takes no part in equality, hashing or the repr
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
@@ -54,10 +57,7 @@ class RatioParams:
                 f"gammas and deltas must be disjoint, both contain {sorted(shared)}"
             )
         object.__setattr__(
-            self,
-            "_balanced",
-            sum(Fraction(1, g) for g in self.gammas)
-            == sum(Fraction(1, d) for d in self.deltas),
+            self, "_balanced", _reciprocal_sums_agree(self.gammas, self.deltas)
         )
 
     @classmethod
@@ -101,6 +101,13 @@ class RatioParams:
         return f"(({g}),({d}))"
 
 
+def _reciprocal_sums_agree(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """Whether sum 1/a over left equals sum 1/b over right, decided in
+    integers as in :class:`RatioParams`."""
+    M = lcm(*left, *right)
+    return sum(M // a for a in left) == sum(M // b for b in right)
+
+
 def f_value(x: int, params: RatioParams) -> int:
     """sum floor(x / gamma_k) - sum floor(x / delta_l)."""
     return sum(x // g for g in params.gammas) - sum(x // d for d in params.deltas)
@@ -115,26 +122,21 @@ def g_value(y: int, params: RatioParams) -> int:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FTable:
-    """One full period window of f for balanced parameters."""
+    """One full period window of f for balanced parameters, with its least
+    and greatest value, found once when the table is built."""
 
     params: RatioParams
     M: int
     values: tuple[int, ...]
     period: int
+    min: int
+    max: int
 
     def f(self, x: int) -> int:
         """f at any integer >= 0, via periodicity."""
         return self.values[x % self.M]
-
-    @property
-    def min(self) -> int:
-        return min(self.values)
-
-    @property
-    def max(self) -> int:
-        return max(self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,7 +194,7 @@ def build_ftable(params: RatioParams) -> FTable:
         raise InvariantError(f"reflection identity fails for {params}")
     if values[period - 1] != height:
         raise InvariantError(f"f(P - 1) != L - K for {params}")
-    return FTable(params, M, values, period)
+    return FTable(params, M, values, period, min(values), max(values))
 
 
 def landau_one_row_check(params: RatioParams) -> bool:

@@ -362,6 +362,28 @@ def test_console_script_version():
     assert "hookratio" in proc.stdout
 
 
+def test_import_loads_no_costly_stdlib_module():
+    # dataclasses (which imports inspect) and fractions (which imports
+    # decimal) were most of the package's own import cost, paid by every
+    # verb. The child runs with this interpreter's -O level; no timing is
+    # asserted.
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import hookratio.cli\n"
+        "print(*sorted(set(sys.modules) - bare))\n"
+    )
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, timeout=60, env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hookratio.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
 def test_malformed_max_size_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("HOOKRATIO_MAX_SIZE", "abc")
     code, _, err = invoke(

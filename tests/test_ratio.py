@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -68,16 +71,80 @@ class TestRatioParams:
     def test_balance_is_computed_once(self, monkeypatch):
         balanced, unbalanced = CHEBYSHEV, RatioParams((2,), (3,))
 
-        def no_fractions(*args):
+        def no_lcm(*args):
             raise AssertionError("is_balanced rebuilt its reciprocal sums")
 
-        monkeypatch.setattr(ratio_module, "Fraction", no_fractions)
+        monkeypatch.setattr(ratio_module, "lcm", no_lcm)
         assert balanced.is_balanced and not unbalanced.is_balanced
 
     def test_balance_takes_no_part_in_equality_or_repr(self):
         p, q = RatioParams((2, 3), (4, 4, 6, 6)), RatioParams((2, 3), (4, 4, 6, 6))
         assert p == q and hash(p) == hash(q)
         assert repr(p) == "RatioParams(gammas=(2, 3), deltas=(4, 4, 6, 6))"
+
+
+class TestBalanceInIntegers:
+    def test_agrees_with_fractions_on_every_small_side_pair(self):
+        # every unordered pair of disjoint sides with entries <= 12 and 1 to
+        # 4 entries; the identity is symmetric, so each pair is tried once
+        sides = [
+            s for k in range(1, 5)
+            for s in combinations_with_replacement(range(1, 13), k)
+        ]
+        # sides of equal reciprocal sum share a class number, so that the
+        # loop compares integers, not Fractions
+        weights = [sum(Fraction(1, x) for x in s) for s in sides]
+        number = {w: i for i, w in enumerate(set(weights))}
+        rows = [(s, frozenset(s), number[w]) for s, w in zip(sides, weights)]
+        agree = ratio_module._reciprocal_sums_agree
+        pairs = balanced = 0
+        for (a, a_set, a_class), (b, _, b_class) in combinations(rows, 2):
+            if a_set.isdisjoint(b):
+                equal = agree(a, b)
+                if equal != (a_class == b_class):
+                    pytest.fail(f"integer balance of {a}, {b} is {equal}")
+                pairs += 1
+                balanced += equal
+        # the 850 ordered survey pairs, each counted once
+        assert (pairs, balanced) == (667_161, 425)
+
+    def test_agrees_with_fractions_on_random_pairs(self):
+        rng = random.Random(13)
+        balanced = random_balanced_pairs(rng, 40, 10_000)
+        # one entry moved by one: unbalanced, with the same large lcm
+        nudged = []
+        for params in balanced:
+            deltas = list(params.deltas)
+            deltas[rng.randrange(len(deltas))] += 1
+            if not set(params.gammas) & set(deltas):
+                nudged.append((params.gammas, deltas))
+        drawn = [
+            (
+                [rng.randint(1, 10_000) for _ in range(rng.randint(1, 4))],
+                [rng.randint(1, 10_000) for _ in range(rng.randint(1, 6))],
+            )
+            for _ in range(200)
+        ]
+        # (k), (km, ..., km) with m = 5..9 entries: balanced with a long side,
+        # and the same with the gamma moved by one
+        long = [
+            ((k,), (k * m,) * m)
+            for m, k in zip(range(5, 10), rng.sample(range(1, 1000), 5))
+        ]
+        long += [((k + 1,), deltas) for (k,), deltas in long]
+        cases = [(p.gammas, p.deltas) for p in balanced] + long + nudged + drawn
+        seen = Counter()
+        for gammas, deltas in cases:
+            try:
+                params = RatioParams(gammas, deltas)
+            except ValueError:  # a random draw shared an entry
+                continue
+            expected = sum(Fraction(1, g) for g in gammas) == sum(
+                Fraction(1, d) for d in deltas
+            )
+            assert params.is_balanced == expected, params
+            seen[expected] += 1
+        assert seen[True] == 45 and seen[False] >= 200
 
 
 class TestStepFunction:
@@ -208,6 +275,13 @@ class TestFTable:
     def test_memo_is_bounded(self, memo):
         # bounded, and still large enough for all 850 survey pairs
         assert 850 <= memo.cache_info().maxsize < float("inf")
+
+    def test_min_and_max_are_the_window_extremes(
+        self, balanced_grid, survey_grid
+    ):
+        for params in balanced_grid + survey_grid:
+            table = build_ftable(params)
+            assert (table.min, table.max) == (min(table.values), max(table.values))
 
     def test_json_schema(self):
         payload = build_ftable(CHEBYSHEV).to_json_dict()
