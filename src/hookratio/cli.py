@@ -66,8 +66,10 @@ def _emit(payload: dict) -> None:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
+    # a blank list is empty, but an empty token is malformed, as in a
+    # partition literal
     try:
-        return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+        return tuple(map(int, text.split(","))) if text.strip() else ()
     except ValueError:
         raise CliInputError(f"malformed integer list {text!r}") from None
 
@@ -216,7 +218,7 @@ def _cmd_ftable(args) -> _Result:
     table = build_ftable(_params_arg(args))
 
     def text():
-        yield f"M = {table.M}, P = {table.period}, min = {table.min}, max = {table.max}"
+        yield f"M = {table.M}, P = {table.M}, min = {table.min}, max = {table.max}"
         yield "x:    " + " ".join(f"{x:>2}" for x in range(table.M))
         yield "f(x): " + " ".join(f"{v:>2}" for v in table.values)
 
@@ -331,8 +333,6 @@ def _cmd_height1(args) -> _Result:
 
 def _cmd_multinomial(args) -> _Result:
     lam = parse_partition(args.partition)
-    if args.s < 1 or args.t < 1:
-        raise CliInputError("s and t must be positive")
     ok = check_multinomial(lam, args.s, args.t)
     margin = hook_count_divisible(lam, args.s) - args.t * hook_count_divisible(
         lam, args.s * args.t

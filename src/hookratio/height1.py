@@ -3,8 +3,10 @@ the additive combinatorics toolkit (sumsets, stabilizers, the Kneser
 inequality) over the cyclic group of the period.
 
 At height 1 with the one-row check passing, f only takes the values 0 and
-1 over its period P. The level sets A0 and A1 each fill half the period,
-and the drop set Y collects the residues where f steps from 1 down to 0.
+1 over its least period P, which is exactly M, the lcm of all entries
+(see `ratio.build_ftable`). The level sets A0 and A1 each fill half the
+period, and the drop set Y collects the residues where f steps from 1
+down to 0.
 A hook shape (arm a, leg l) has negative signature exactly when
 f(a) = f(l) = 0, f(a+l) = 1 and f(a+l+1) = 0, i.e. when a + l lands in Y
 and splits over A0 + A0; the sumset covers all but at most one residue, so
@@ -131,8 +133,7 @@ def period_sets(params: RatioParams) -> PeriodSets:
         raise ValueError(
             f"{params} fails the one-row check; the level sets are undefined"
         )
-    P = table.period
-    vals = table.values[:P]
+    P, vals = table.M, table.values
     # f at y + 1 for each residue y, cyclically
     after = chain(islice(vals, 1, None), vals[:1])
     A0 = frozenset(compress(range(P), map(eq, vals, repeat(0))))

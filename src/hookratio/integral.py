@@ -140,7 +140,7 @@ from .partition import (
     max_enumeration_size,
 )
 from .primes import factorize, is_prime, next_prime_above
-from .ratio import InvariantError, RatioParams, _reciprocal_sums_agree, build_ftable
+from .ratio import InvariantError, RatioParams, _reciprocal_excess, build_ftable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -286,24 +286,25 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
 
     The signature of the hook shape (1+a, 1^l) telescopes to
     f(a) + f(l) + f(a+l+1) - f(a+l), which only depends on the residues of
-    a and l, so scanning a, l in [0, P) covers every hook shape.
+    a and l modulo the least period of f, exactly M, so scanning a, l in
+    [0, M) covers every hook shape.
 
-    f is read from one period doubled into a plain tuple, which holds it at
-    every argument up to 2P - 1 >= a + l + 1. The pairs are visited in
+    f is read from its table doubled into a plain tuple, which holds it at
+    every argument up to 2M - 1 >= a + l + 1. The pairs are visited in
     (a + l, a) order and the scan returns at the first negative signature,
     f(a) + f(l) < f(s) - f(s+1) with s = a + l. A diagonal s whose drop
     f(s) - f(s+1) is at most 2 min f holds no such pair and is skipped, so
     the first hit is the one the full grid gives.
     """
     table = build_ftable(params)
-    P = table.period
-    f = table.values[:P] * 2
+    M = table.M
+    f = table.values * 2
     least_pair = 2 * table.min
-    for s in range(0, 2 * P - 1):
+    for s in range(0, 2 * M - 1):
         drop = f[s] - f[s + 1]
         if drop <= least_pair:
             continue
-        for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
+        for a in range(max(0, s - M + 1), min(s, M - 1) + 1):
             if f[a] + f[s - a] < drop:
                 return (a, s - a)
     return None
@@ -323,13 +324,6 @@ def _core_counts(M: int, limit: int) -> list[int]:
     return counts
 
 
-def _size_slope(params: RatioParams) -> int:
-    """m = sum M / gamma - sum M / delta, so that 2M sig = m * 2|lam| plus
-    the balanced sum over the cores (fact 8); 0 exactly under balance."""
-    M = params.modulus
-    return sum(M // g for g in params.gammas) - sum(M // d for d in params.deltas)
-
-
 def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     """Lexicographically least M-core with negative signature among those of
     the smallest failing size up to limit.
@@ -340,8 +334,7 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     its cost (fact 8); see there for why this equals the search over every
     partition and why only the live coordinates (fact 6) can move.
     """
-    M = params.modulus
-    slope = _size_slope(params)
+    M, slope = params.modulus, _reciprocal_excess(params.gammas, params.deltas)
     top = 2 * limit
     live = [j for j in range(M) if j < limit or j >= M - limit]
     n = len(live)
@@ -422,7 +415,7 @@ def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     """
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
-    M, slope = params.modulus, _size_slope(params)
+    M, slope = params.modulus, _reciprocal_excess(params.gammas, params.deltas)
     # deepen 1, 2, 4, ..., but go straight to the walk limit once doubling
     # again would reach or pass it: the walk to the limit repeats the answer
     # of any walk beyond half of it at little more cost. The empty
@@ -543,7 +536,7 @@ def check_divisor_family(lam: Partition, x: int, deltas: Sequence[int]) -> bool:
     bad = [d for d in deltas if d % x != 0]
     if bad:
         raise ValueError(f"{x} does not divide {bad}")
-    if not _reciprocal_sums_agree((x,), deltas):
+    if _reciprocal_excess((x,), deltas):
         raise ValueError(f"1/{x} != sum of reciprocals of {deltas}")
     exps = _vector_ratio_exponents(lam, (x,), deltas)
     return all(e >= 0 for e in exps.values())

@@ -289,11 +289,14 @@ def max_enumeration_size() -> int:
     if raw is None:
         return DEFAULT_MAX_ENUMERATION_SIZE
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
+        cap = None
+    if cap is None or cap < 0:
         raise ValueError(
-            f"{MAX_SIZE_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+            f"{MAX_SIZE_ENV_VAR} must be a nonnegative integer, got {raw!r}"
+        )
+    return cap
 
 
 def enumeration_cap_error(n: int, cap: int) -> ValueError:

@@ -3,22 +3,21 @@
 A pair of vectors (gammas, deltas) of positive integers defines the step
 function f(x) = sum_k floor(x / gamma_k) - sum_l floor(x / delta_l) and the
 divisor indicator g(y) whose prefix sums reproduce f. Under the balancing
-condition (the reciprocal sums agree) f is periodic with period dividing
-the lcm M of all entries, and one period of values decides one-row
-integrality (the classical criterion). All breakpoints of f are integers,
-so every statement made "for small enough epsilon" is evaluated here at
-integer arguments only.
+condition (the reciprocal sums agree) f has least period exactly the lcm M
+of all entries (proved at :func:`build_ftable`), and one period of values
+decides one-row integrality (the classical criterion). All breakpoints of
+f are integers, so every statement made "for small enough epsilon" is
+evaluated here at integer arguments only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, eq, floordiv, sub
 
 from ._record import record
-from .primes import factorize
 
 
 class InvariantError(RuntimeError):
@@ -57,7 +56,7 @@ class RatioParams:
                 f"gammas and deltas must be disjoint, both contain {sorted(shared)}"
             )
         object.__setattr__(
-            self, "_balanced", _reciprocal_sums_agree(self.gammas, self.deltas)
+            self, "_balanced", _reciprocal_excess(self.gammas, self.deltas) == 0
         )
 
     @classmethod
@@ -101,11 +100,12 @@ class RatioParams:
         return f"(({g}),({d}))"
 
 
-def _reciprocal_sums_agree(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    """Whether sum 1/a over left equals sum 1/b over right, decided in
-    integers as in :class:`RatioParams`."""
+def _reciprocal_excess(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """m = sum M // a over left - sum M // b over right, M the lcm of all
+    entries: sum 1/a - sum 1/b times M, in integers; 0 exactly under
+    balance."""
     M = lcm(*left, *right)
-    return sum(M // a for a in left) == sum(M // b for b in right)
+    return sum(M // a for a in left) - sum(M // b for b in right)
 
 
 def f_value(x: int, params: RatioParams) -> int:
@@ -124,13 +124,13 @@ def g_value(y: int, params: RatioParams) -> int:
 
 @record
 class FTable:
-    """One full period window of f for balanced parameters, with its least
-    and greatest value, found once when the table is built."""
+    """f over [0, M) for balanced parameters, one least period exactly (see
+    :func:`build_ftable`), with its least and greatest value, found once
+    when the table is built."""
 
     params: RatioParams
     M: int
     values: tuple[int, ...]
-    period: int
     min: int
     max: int
 
@@ -141,7 +141,7 @@ class FTable:
     def to_json_dict(self) -> dict:
         return {
             "M": self.M,
-            "P": self.period,
+            "P": self.M,
             "values": list(self.values),
             "min": self.min,
             "max": self.max,
@@ -153,20 +153,26 @@ class FTable:
 # lru_cache because bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M) and find the minimal period P.
+    """Tabulate f over [0, M), which is one least period of f, in one
+    column pass per parameter, floor(x / r) over the window, summed with
+    the signs of f.
 
-    The values come from one column pass per parameter, floor(x / r) over
-    the whole window, summed with the signs of f. The period is found by
-    prime descent from M: for each prime q of M in turn, divide P by q
-    while P / q is still a period. The periods of f that divide M are
-    closed under gcd, so they are exactly the divisors of M that are
-    multiples of the least period. The descent at q therefore stops only
-    once q no longer divides P over the least period, later primes keep
-    it so, and P ends at the least period.
+    Balance makes M a period: f(x + M) - f(x) = sum M/gamma - sum M/delta.
+    No P | M below it is one. Set w_r = #{gamma = r} - #{delta = r}, which
+    is nonzero at every entry r since the sides are disjoint.
+    - g(y) = f(y) - f(y-1) = sum_r w_r [r | y] is G(gcd(y, M)) for some G,
+      and is P-periodic when f is.
+    - Some y + tP has gcd(y + tP, M) = gcd(y, P) (pick t mod each prime of
+      M, then the CRT), so G(d) = G(gcd(d, P)) for d | M.
+    - Moebius inversion gives w_r = sum_{d | r} mu(r/d) G(gcd(d, P)).
+    - If r does not divide P, take a prime q with v_q(r) > v_q(P). The
+      nonzero terms pair d with dq: opposite mu, and equal gcd with P as
+      v_q(d) >= v_q(r) - 1 >= v_q(P). So w_r = 0, a contradiction.
+    So every entry divides P, and P = M.
 
     Raises for unbalanced parameters, where f is unbounded and has no
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
-    case f(P-1) = L - K hold for every balanced pair and are checked here.
+    case f(M-1) = L - K hold for every balanced pair and are checked here.
     """
     if not params.is_balanced:
         raise ValueError(
@@ -181,20 +187,12 @@ def build_ftable(params: RatioParams) -> FTable:
     for d in params.deltas:
         total = map(sub, total, map(floordiv, window, repeat(d)))
     values = tuple(total)
-    period = M
-    for q, _ in factorize(M):
-        # f(x + P / q) = f(x) across the window makes P / q a period of f,
-        # since P / q divides M
-        while period % q == 0 and all(
-            map(eq, islice(values, period // q, None), values)
-        ):
-            period //= q
     height = params.height
     if not all(map(eq, map(add, values, reversed(values)), repeat(height))):
         raise InvariantError(f"reflection identity fails for {params}")
-    if values[period - 1] != height:
-        raise InvariantError(f"f(P - 1) != L - K for {params}")
-    return FTable(params, M, values, period, min(values), max(values))
+    if values[-1] != height:
+        raise InvariantError(f"f(M - 1) != L - K for {params}")
+    return FTable(params, M, values, min(values), max(values))
 
 
 def landau_one_row_check(params: RatioParams) -> bool:

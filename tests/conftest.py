@@ -235,32 +235,18 @@ def oracle_ftable(params):
 def oracle_hook_shape_scan(params):
     """First (arm, leg), ordered by (arm + leg, arm), whose hook shape has
     negative signature f(a) + f(l) + f(a+l+1) - f(a+l), over the grid
-    [0, P)^2, reading f through FTable.f: the scan as it was before it read
-    a doubled period."""
+    [0, P)^2 with P = M, reading f through FTable.f: the scan as it was
+    before it read a doubled period."""
     from hookratio import build_ftable
 
     table = build_ftable(params)
-    P = table.period
+    P = table.M
     for s in range(0, 2 * P - 1):
         for a in range(max(0, s - P + 1), min(s, P - 1) + 1):
             l = s - a
             if table.f(a) + table.f(l) + table.f(s + 1) - table.f(s) < 0:
                 return (a, l)
     return None
-
-
-def stretched(params, k):
-    """params with its modulus read as k times the lcm: f is unchanged, so
-    a table over the window [0, kM) repeats with period M < kM. No pair of
-    disjoint vectors has a period below its lcm, so this is how a test puts
-    the period search below M."""
-
-    class Stretched(RatioParams):
-        @property
-        def modulus(self):
-            return k * super().modulus
-
-    return Stretched(params.gammas, params.deltas)
 
 
 def random_balanced_pairs(rng, count, max_modulus):

@@ -116,7 +116,7 @@ def test_criterion_03_height1_worked_example():
             0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1,
             0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
         )
-        assert table.period == 30
+        assert table.M == 30
         sets = period_sets(params)
         assert sets.Y == frozenset({5, 9, 11, 14, 17, 19, 23, 29})
         assert sets.A0 == frozenset(
@@ -263,6 +263,6 @@ def test_criterion_10_step_function_properties(balanced_grid):
             h = params.height
             for x in range(m):
                 assert table.values[x] + table.values[m - 1 - x] == h
-            assert table.values[table.period - 1] == h
+            assert table.values[m - 1] == h
             if landau_one_row_check(params):
                 assert table.min >= 0 and table.max <= h

@@ -162,6 +162,14 @@ class TestCheckVerb:
         code, out, _ = invoke(capsys, "check", "--params", str(path), "--json")
         assert code == 0 and json.loads(out)["status"] == "Integral-Certified"
 
+    def test_params_file_rejects_empty_tokens(self, capsys, tmp_path):
+        for text in ("gamma: 1,,\ndelta: 2,2\n", "gamma: 1\ndelta: ,2,,2\n"):
+            path = tmp_path / "params.txt"
+            path.write_text(text)
+            code, out, err = invoke(capsys, "check", "--params", str(path))
+            assert code == 64 and out == ""
+            assert "malformed integer list" in err
+
     def test_has_no_workers_option(self, capsys):
         code, out, err = invoke(
             capsys, "check", "--gamma", "1,30", "--delta", "2,3,5",
@@ -391,6 +399,17 @@ def test_malformed_max_size_names_the_variable(capsys, monkeypatch):
     )
     assert code == 64
     assert "HOOKRATIO_MAX_SIZE" in err and "'abc'" in err
+
+
+def test_negative_max_size_names_the_variable(capsys, monkeypatch):
+    # rejected as a malformed value, not read as a cap below every size
+    monkeypatch.setenv("HOOKRATIO_MAX_SIZE", "-5")
+    code, out, err = invoke(
+        capsys, "search-mu", "--gamma", "1", "--delta", "2,2", "--bound", "0"
+    )
+    assert code == 64 and out == ""
+    assert "HOOKRATIO_MAX_SIZE" in err and "'-5'" in err
+    assert "exceeds" not in err
 
 
 def test_height1_at_m_51330_is_byte_identical():

@@ -78,6 +78,8 @@ ERRORS = [
     ["height1", "--gamma", "1,1", "--delta", "2,2,2,2"],
     ["height1", "--gamma", "1,1", "--delta", "2,2,2,2", "--json"],
     ["check", "--gamma", "1"],
+    ["check", "--gamma", "1,,", "--delta", "2,2"],
+    ["check", "--gamma", "1", "--delta", ",2,,2"],
     ["multinomial", "--partition", "3", "--s", "0", "--t", "2"],
     ["frobnicate"],
     [],

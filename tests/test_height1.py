@@ -75,7 +75,7 @@ class TestPeriodSets:
         assert len(pairs) > 6
         for params in pairs:
             table = build_ftable(params)
-            vals, P = table.values, table.period
+            vals, P = table.values, table.M
             sets = period_sets(params)
             assert sets.A0 == {x for x in range(P) if vals[x] == 0}
             assert sets.A1 == {x for x in range(P) if vals[x] == 1}
