@@ -222,6 +222,19 @@ class TestFTable:
                     for x in range(M - P)
                 ), (params, P)
 
+    def test_period_matches_scan_of_every_divisor(self, balanced_grid, survey_grid):
+        # the first period found by trying every d in 1..M that divides M
+        # is M itself, as the theorem at build_ftable says
+        for params in balanced_grid + survey_grid:
+            table = build_ftable(params)
+            M = table.M
+            scanned = next(
+                d for d in range(1, M + 1)
+                if M % d == 0
+                and all(table.values[x] == table.values[x % d] for x in range(M))
+            )
+            assert scanned == M, params
+
     @staticmethod
     def _assert_matches_oracle(pairs):
         # the oracle's period is the least divisor of M that is a period
