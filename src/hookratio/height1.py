@@ -159,16 +159,6 @@ def is_canonical_exception(params: RatioParams) -> bool:
     )
 
 
-def find_hook_witness(params: RatioParams) -> tuple[int, int] | None:
-    """First (arm, leg), ordered by (a + l, a), whose hook shape has
-    negative signature; None when no solution exists over the period grid.
-    With the one-row check passing, these are exactly the solutions of
-    f(a) = f(l) = 0, f(a+l) = 1, f(a+l+1) = 0, with f evaluated at the
-    true integers a + l and a + l + 1."""
-    _require_height1(params)
-    return _hook_shape_scan(params)
-
-
 def decide_height1(params: RatioParams) -> Verdict:
     """Complete decision at height 1.
 
@@ -183,7 +173,7 @@ def decide_height1(params: RatioParams) -> Verdict:
     if table.min < 0:
         x = next(compress(count(), map(lt, table.values, repeat(0))))
         return _verified_fails(params, Partition((x,)), None)
-    found = find_hook_witness(params)
+    found = _hook_shape_scan(params)
     if found is not None:
         contradiction = Height1ContradictionError(
             f"hook witness {found} of {params} has signature other than -1"

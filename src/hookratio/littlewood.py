@@ -55,11 +55,11 @@ def _assemble(
     are full; the n beads above it, sorted descending as x_1 > ... > x_n,
     give the parts lam_k = x_k + k.
     """
-    floor = min(c - len(q) for q, c in zip(quotients, charges))
+    floor = min(c - len(q.parts) for q, c in zip(quotients, charges))
     beads: list[int] = []
     for j, (q, c) in enumerate(zip(quotients, charges)):
         beads.extend(p * (part - i + c) + j for i, part in enumerate(q.parts, 1))
-        beads.extend(range(p * (c - len(q) - 1) + j, p * floor - 1, -p))
+        beads.extend(range(p * (c - len(q.parts) - 1) + j, p * floor - 1, -p))
     beads.sort(reverse=True)
     return Partition(x + k for k, x in enumerate(beads, 1) if x + k > 0)
 

@@ -1,9 +1,11 @@
 """Integer partitions, hook lengths, and 01 boundary sequences.
 
-A partition is stored as a weakly decreasing tuple of positive parts and is
-immutable. The boundary sequence of a partition is the doubly infinite 01
-word traced along the staircase outline of its Young diagram (0 for an up
-step, 1 for a right step), eventually 0 to the left and 1 to the right.
+A partition is immutable and stored as its runs of equal parts, largest
+first; its weakly decreasing tuple of rows is kept when given and listed
+on first read otherwise. The boundary sequence of a partition is the
+doubly infinite 01 word traced along the staircase outline of its Young
+diagram (0 for an up step, 1 for a right step), eventually 0 to the left
+and 1 to the right.
 Every operation here is a pure function, so values can be shared freely.
 """
 
@@ -25,17 +27,15 @@ MAX_SIZE_ENV_VAR = "HOOKRATIO_MAX_SIZE"
 class Partition:
     """A weakly decreasing finite sequence of positive integers.
 
-    It is held either as its rows (``parts``) or, when built by
-    ``from_runs``, as its runs of equal parts: (value, multiplicity) pairs
-    with strictly decreasing values. A run-built partition fills ``parts``
-    only when something reads it, so a shape with a few runs but millions
-    of rows costs O(runs) until then; ``runs``, ``first``, ``size``,
-    ``len``, ``bool``, ``==`` and ``hash`` never expand it. A row-built
-    partition holds its rows and nothing else.
+    It is held as its runs of equal parts: (value, multiplicity) pairs
+    with strictly decreasing values. A partition built from its rows keeps
+    the rows too; one built by ``from_runs`` fills ``parts`` only when
+    something reads it, so a shape with a few runs but millions of rows
+    costs O(runs) until then. ``runs``, ``first``, ``size``, ``len``,
+    ``bool``, ``==``, ``<``, ``<=``, ``hash`` and ``repr`` never expand it.
     """
 
-    __slots__ = ("parts",)
-    _runs = None  # the runs of a run-built partition, which fills this slot
+    __slots__ = ("runs", "parts")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(int, parts))
@@ -48,6 +48,11 @@ class Partition:
                 if i and parts[i - 1] < v:
                     raise ValueError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
+        # from a list: tuple() over a generator left a higher peak RSS on
+        # an enumeration that groups the rows of every partition
+        object.__setattr__(self, "runs", tuple(
+            [(v, len(list(g))) for v, g in groupby(parts)]
+        ) if parts else ())
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[int, int]]) -> "Partition":
@@ -64,61 +69,61 @@ class Partition:
             if prev is not None and prev <= v:
                 raise ValueError(f"run values must strictly decrease, got {runs}")
             prev = v
-        lam = object.__new__(_RunPartition)
-        object.__setattr__(lam, "_runs", runs)
+        lam = object.__new__(Partition)
+        object.__setattr__(lam, "runs", runs)
         return lam
+
+    def __getattr__(self, name):
+        # reached only while the parts slot is empty
+        if name != "parts":
+            raise AttributeError(name)
+        parts = tuple(chain.from_iterable(repeat(v, m) for v, m in self.runs))
+        object.__setattr__(self, "parts", parts)
+        return parts
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     def __reduce__(self):
-        return (Partition, (self.parts,))
-
-    @property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """(value, multiplicity) for each run of equal parts, largest first.
-
-        A row-built partition groups its rows afresh on each read."""
-        # from a list: tuple() over a generator left a higher peak RSS on
-        # an enumeration that reads the runs of every partition
-        return tuple([(v, len(list(g))) for v, g in groupby(self.parts)])
+        return (Partition.from_runs, (self.runs,))
 
     @property
     def first(self) -> int:
         """The largest part, in O(1); 0 for the empty partition."""
-        return self.parts[0] if self.parts else 0
+        return self.runs[0][0] if self.runs else 0
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(v * m for v, m in self.runs)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return sum(m for _, m in self.runs)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self.runs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return False
-        if self._runs is None and other._runs is None:
-            return self.parts == other.parts
-        return self.runs == other.runs
+        return isinstance(other, Partition) and self.runs == other.runs
 
+    # Runs order shapes as rows do. Before the first run that differs the
+    # rows agree. There, a larger value is a larger row; with the same
+    # value, more copies is larger too, since the other shape then has a
+    # smaller part in that row or ends. Runs that are a prefix of the
+    # other's are rows that are a prefix of the other's: smaller in both.
     def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
+        return self.runs < other.runs
 
     def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
+        return self.runs <= other.runs
 
     def __hash__(self) -> int:
         return hash(self.runs)
 
     def __repr__(self) -> str:
-        return f"Partition{self.parts!r}" if self.parts else "Partition()"
+        return f"Partition.from_runs({self.runs!r})" if self.runs else "Partition()"
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -137,42 +142,6 @@ class Partition:
         return 0 <= row < len(self.parts) and 0 <= col < self.parts[row]
 
 
-class _RunPartition(Partition):
-    """A partition built by Partition.from_runs: it holds its runs, and
-    fills its parts slot on first read."""
-
-    __slots__ = ("_runs",)
-
-    def __getattr__(self, name):
-        # reached only while the parts slot is empty
-        if name != "parts":
-            raise AttributeError(name)
-        parts = tuple(chain.from_iterable(repeat(v, m) for v, m in self._runs))
-        object.__setattr__(self, "parts", parts)
-        return parts
-
-    def __reduce__(self):
-        return (Partition.from_runs, (self._runs,))
-
-    @property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        return self._runs
-
-    @property
-    def first(self) -> int:
-        return self._runs[0][0] if self._runs else 0
-
-    @property
-    def size(self) -> int:
-        return sum(v * m for v, m in self._runs)
-
-    def __len__(self) -> int:
-        return sum(m for _, m in self._runs)
-
-    def __bool__(self) -> bool:
-        return bool(self._runs)
-
-
 EMPTY = Partition()
 
 
@@ -184,7 +153,7 @@ def parse_partition(text: str) -> Partition:
     whitespace is ignored and the parts may be given in any order. An empty
     or blank string denotes the empty partition.
     """
-    parts: list[int] = []
+    counts: dict[int, int] = {}
     text = text.strip()
     if not text:
         return EMPTY
@@ -202,8 +171,8 @@ def parse_partition(text: str) -> Partition:
             raise ValueError(f"partition parts must be positive, got {base}")
         if count < 1:
             raise ValueError(f"exponent must be positive in token {token!r}")
-        parts.extend([base] * count)
-    return Partition(sorted(parts, reverse=True))
+        counts[base] = counts.get(base, 0) + count
+    return Partition.from_runs(sorted(counts.items(), reverse=True))
 
 
 def format_partition(lam: Partition) -> str:

@@ -17,7 +17,6 @@ from hookratio import (
     build_ftable,
     counts_signature,
     decide_height1,
-    find_hook_witness,
     is_canonical_exception,
     landau_one_row_check,
     period_sets,
@@ -227,7 +226,7 @@ class TestDecideHeight1:
 
     def test_hook_witness_matches_oracle_on_family_images(self):
         for _, params in valid_bober_images(6):
-            assert find_hook_witness(params) == oracle_hook_shape_scan(params)
+            assert height1_module._hook_shape_scan(params) == oracle_hook_shape_scan(params)
 
     def test_one_row_witness_is_the_least_negative_x(self, balanced_grid):
         pairs = [
@@ -271,7 +270,7 @@ class TestDecideHeight1:
         # forcing an empty scan on a non-exceptional input must raise, not
         # return a verdict
         monkeypatch.setattr(
-            height1_module, "find_hook_witness", lambda params: None
+            height1_module, "_hook_shape_scan", lambda params: None
         )
         with pytest.raises(Height1ContradictionError):
             decide_height1(RatioParams((3,), (4, 12)))
@@ -288,14 +287,14 @@ class TestDecideHeight1:
             for l in (0, 1)
         )
         monkeypatch.setattr(
-            height1_module, "find_hook_witness", lambda params: found
+            height1_module, "_hook_shape_scan", lambda params: found
         )
         with pytest.raises(Height1ContradictionError):
             decide_height1(params)
 
     def test_witness_signature_is_exactly_minus_one(self):
         for _, params in valid_bober_images(4):
-            found = find_hook_witness(params)
+            found = height1_module._hook_shape_scan(params)
             if found is None:
                 continue
             a, l = found

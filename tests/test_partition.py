@@ -92,14 +92,27 @@ class TestRuns:
         assert Partition().runs == ()
         assert Partition.from_runs([]) == Partition()
 
-    def test_row_built_holds_only_its_rows(self):
-        # reading the runs of a row-built partition groups its rows afresh
-        # and stores nothing on it
-        lam = Partition((5, 5, 3, 1, 1, 1))
-        assert Partition.__slots__ == ("parts",) and not hasattr(lam, "__dict__")
-        assert lam.runs == ((5, 2), (3, 1), (1, 3)) and lam.first == 5
-        hash(lam), format_partition(lam), lam == Partition.from_runs(lam.runs)
-        assert lam._runs is None
+    def test_every_partition_holds_its_runs(self):
+        # the runs sit in a slot on every partition; reading the order,
+        # hash or literal of a run-built shape never fills its rows, and
+        # neither does parsing a literal
+        assert Partition.__slots__ == ("runs", "parts")
+        for lam in (
+            Partition((5, 5, 3, 1, 1, 1)),
+            Partition.from_runs([(5, 2), (3, 1), (1, 3)]),
+        ):
+            assert Partition.runs.__get__(lam) == ((5, 2), (3, 1), (1, 3))
+            assert not hasattr(lam, "__dict__")
+        lam = Partition.from_runs([(5, 2), (3, 1), (1, 3)])
+        hash(lam), lam == Partition((5, 5, 3, 1, 1, 1)), lam < Partition((6,))
+        assert format_partition(lam) == "5,5,3,1,1,1"
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+        lam = parse_partition("66^55")
+        assert lam.runs == ((66, 55),)
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+        assert lam.parts == (66,) * 55
 
     def test_first(self):
         assert Partition((4, 1)).first == 4 and Partition().first == 0
@@ -118,6 +131,18 @@ class TestRuns:
         assert lam.parts == (4, 4, 1, 1, 1)
         assert Partition.parts.__get__(lam) is lam.parts
 
+    def test_repr_reads_runs(self, partitions_by_size):
+        assert repr(Partition()) == "Partition()"
+        assert repr(Partition((5, 5, 3))) == "Partition.from_runs(((5, 2), (3, 1)))"
+        for n in range(9):
+            for lam in partitions_by_size[n]:
+                for built in (lam, Partition.from_runs(lam.runs)):
+                    assert eval(repr(built)) == lam
+        lam = Partition.from_runs([(10**12, 10**12)])
+        assert len(repr(lam)) < 60 and eval(repr(lam)) == lam
+        with pytest.raises(AttributeError):
+            Partition.parts.__get__(lam)
+
     def test_huge_run_is_never_expanded(self):
         lam = Partition.from_runs([(10**12, 10**12)])
         assert (lam.size, len(lam)) == (10**24, 10**12)
@@ -129,17 +154,20 @@ class TestRuns:
         import pickle
 
         shapes = [lam for n in range(9) for lam in partitions_by_size[n]]
+        assert len(shapes) == 67
+        assert sorted(shapes) == sorted(shapes, key=lambda lam: lam.parts)
         for lam in shapes:
             runs = Partition.from_runs(rows_to_runs(lam.parts))
             rows = Partition(lam.parts)
             assert runs == rows and rows == runs and hash(runs) == hash(rows)
             assert (len(runs), runs.size, bool(runs)) == (len(rows), rows.size, bool(rows))
             assert format_partition(runs) == format_partition(rows)
-            for other in shapes[:40]:
+            for other in shapes:
                 fresh = Partition.from_runs(rows_to_runs(other.parts))
-                assert (fresh < runs) == (other < rows)
-                assert (fresh <= runs) == (other <= rows)
-                assert (fresh == runs) == (other == rows)
+                assert (fresh < runs) == (other < rows) == (other.parts < lam.parts)
+                assert (fresh <= runs) == (other <= rows) == (other.parts <= lam.parts)
+                assert (fresh == runs) == (other == rows) == (other.parts == lam.parts)
+                assert (hash(fresh) == hash(runs)) == (other.parts == lam.parts)
             for built in (runs, rows):
                 back = pickle.loads(pickle.dumps(built))
                 assert back == lam and back.parts == lam.parts
