@@ -21,14 +21,13 @@ from .height1 import (
     sumset,
 )
 from .integral import (
+    _verified_fails,
     check_multinomial,
-    construct_failing_lambda,
     counts_signature,
     decide,
     extract_failing_mu,
     find_failing_mu,
     ratio_factored,
-    ratio_valuation,
 )
 from .littlewood import (
     compose,
@@ -59,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
+
+    def _check_value(self, action, value):
+        # choices quoted, as Python 3.10-3.12 word it; 3.13 drops the quotes
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            msg = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, msg)
 
 
 def _emit(payload: dict) -> None:
@@ -264,20 +270,22 @@ def _cmd_search_mu(args) -> _Result:
 def _cmd_construct_lambda(args) -> _Result:
     mu = parse_partition(args.mu)
     params = _params_arg(args)
-    p, lam = construct_failing_lambda(mu, params)
-    vp = ratio_valuation(lam, params, p)
+    # the printed valuation is re-checked against p times the signature,
+    # as for every witness of check and height1
+    verdict = _verified_fails(params, mu, None)
+    w, vp = verdict.witness.to_json_dict(), verdict.valuation_at_p
     payload = {
-        "mu": format_partition(mu),
+        "mu": w["mu"],
         "gamma": list(params.gammas),
         "delta": list(params.deltas),
-        "p": p,
-        "lambda": format_partition(lam),
+        "p": w["p"],
+        "lambda": w["lambda"],
         "valuation_at_p": vp,
     }
     return 0, payload, lambda: [
-        f"p = {p}",
-        f"lambda = {payload['lambda']}",
-        f"valuation at {p}: {vp}",
+        f"p = {w['p']}",
+        f"lambda = {w['lambda']}",
+        f"valuation at {w['p']}: {vp}",
     ]
 
 
@@ -299,10 +307,8 @@ def _cmd_extract_mu(args) -> _Result:
 def _cmd_height1(args) -> _Result:
     params = _params_arg(args)
     verdict = decide_height1(params)
-    try:
-        sets = period_sets(params)
-    except ValueError:
-        sets = None  # one-row check failed; the level sets are undefined
+    # the level sets are undefined where the one-row check fails
+    sets = period_sets(params) if build_ftable(params).min >= 0 else None
     witness = None if verdict.witness is None else verdict.witness.to_json_dict()
     payload = dict.fromkeys(("P", "A0", "A1", "Y", "sumset_missing"))
     if sets is not None:
@@ -461,6 +467,13 @@ def build_parser() -> _Parser:
     s = verb("bober-scan", _cmd_bober_scan, "survey the height 1 families")
     s.add_argument("--bound", type=int, default=6, help="max x and y")
 
+    # wrapped as Python 3.10-3.12 wrap it at 80 columns, now at any width;
+    # 3.13 put the "..." on the line of the verbs
+    indent = " " * len("usage: hookratio ")
+    parser.usage = (
+        "%(prog)s [-h] [--version] [--seed SEED]\n"
+        f"{indent}{{{','.join(sub.choices)}}}\n{indent}..."
+    )
     return parser
 
 

@@ -125,6 +125,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ._record import record
 from .littlewood import (
     _assemble,
+    _valuation,
     _walk,
     divisible_hook_counts,
     hook_count_divisible,
@@ -259,25 +260,17 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     A hook h divisible by a parameter r contributes v_p(h / r), which is
     the number of k >= 1 with r * p**k dividing h. Summed over the hooks,
     the contribution of r is sum_{k >= 1} N_{r * p**k}(lam), where N_m
-    counts the hooks divisible by m; the terms stop once r * p**k exceeds
-    the largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
+    counts the hooks divisible by m; `littlewood._valuation` forms this
+    signed sum over the parameters, stopping once r * p**k exceeds the
+    largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
     interval per run of lam in O(R log R) for R runs, so the cost grows
-    with neither |lam| nor len(lam). The count comes straight from the profile of lam and never
-    decomposes it, so it re-checks a witness independently of the tower
-    identity that built the witness.
+    with neither |lam| nor len(lam). The count comes straight from the
+    profile of lam and never decomposes it, so it re-checks a witness
+    independently of the tower identity that built the witness.
     """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    top = largest_hook(lam)
-    terms: list[tuple[int, int]] = []
-    for divisors, sign in ((params.gammas, 1), (params.deltas, -1)):
-        for r in divisors:
-            m = r * p
-            while m <= top:
-                terms.append((sign, m))
-                m *= p
-    counts = divisible_hook_counts(lam, (m for _, m in terms))
-    return sum(sign * counts[m] for sign, m in terms)
+    return _valuation(lam, params.gammas, params.deltas, p)
 
 
 def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:

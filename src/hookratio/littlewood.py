@@ -22,7 +22,6 @@ position below it, and its length is their distance.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -230,30 +229,26 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     each of the other beads on that runner below it fills one of them, so
     N_m = sum_k y_k // m - sum_r C(cnt_r, 2), cnt_r the beads on runner r.
 
-    A run of equal parts is an interval of consecutive beads, and the
-    kernel reads intervals, not rows. The floor sum of an interval [a, b)
-    is F(b) - F(a) with F(x) = sum_{y < x} y // m = m q (q - 1) / 2 + q r,
-    (q, r) = divmod(x, m). An interval of length L covers every runner
-    L // m times plus an arc of L % m consecutive runners, so cnt_r = Q +
-    A_r, Q the total of the full cycles and A_r the number of arcs over r,
-    and sum_r cnt_r^2 = m Q^2 + 2 Q (n - m Q) + sum_r A_r^2. A run of one
-    part is one bead, and an arc of one runner is a point: points are
-    counted by runner, and the longer arcs add their squares by a sweep
-    over their sorted ends. Each modulus costs O(R log R) for R runs,
-    whatever |lam| and len(lam) are.
+    A run of equal parts is an interval [a, b) of consecutive beads, and the
+    kernel reads intervals, not rows. With (q, u) = divmod(b, m) and
+    (s, t) = divmod(a, m), the floor sum of the interval is F(b) - F(a),
+    F(x) = sum_{y < x} y // m = m q (q - 1) / 2 + q u, and the interval puts
+    q - s + [r >= t] - [r >= u] beads on runner r: q - s cycles and the arc
+    of runners [t, u), which is a point for a run of one part. An arc that
+    wraps past runner m - 1 (u < t) is one more cycle less the arc [u, t).
+    So cnt_r = Q + A_r, Q the total of the cycles and A_r the depth of the
+    arcs over r, and sum_r cnt_r^2 = m Q^2 + 2 Q (n - m Q) + sum_r A_r^2,
+    the last term one sweep of depth^2 times width over the sorted arc
+    ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
+    len(lam) are.
     """
-    runs = lam.runs
     n = len(lam)
-    top = runs[0][0] + n - 1 if runs else 0
-    beads = []  # the runs of one part: an interval of one bead is that bead
-    blocks = []  # (lowest bead, length) for the longer runs
-    k = 0
-    for value, mult in runs:
-        k += mult
-        if mult == 1:
-            beads.append(value - k + n)
-        else:
-            blocks.append((value - k + n, mult))
+    top = largest_hook(lam)
+    intervals = []  # [a, b) per run
+    below = n
+    for value, mult in lam.runs:
+        below -= mult  # the rows below this run
+        intervals.append((value + below, value + below + mult))
     counts: dict[int, int] = {}
     for m in moduli:
         if m < 1:
@@ -263,47 +258,22 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
         if m > top:
             counts[m] = 0
             continue
-        floors = sum([y // m for y in beads])
-        points = [y % m for y in beads]
-        full = 0
-        ends: list[int] = []  # 2 * runner, plus 1 for the start of an arc
-        for lo, length in blocks:
-            q, r = divmod(lo + length, m)
-            s, t = divmod(lo, m)
-            floors += (m * (q * (q - 1) - s * (s - 1)) >> 1) + q * r - s * t
-            f, rest = divmod(length, m)
-            full += f
-            if rest == 1:
-                points.append(t)
-            elif rest:
-                stop = t + rest
-                if stop <= m:
-                    ends += (2 * t + 1, 2 * stop)
-                else:  # the arc wraps past runner m - 1
-                    ends += (2 * t + 1, 2 * m, 1, 2 * (stop - m))
-        # sum over runners of (points on it)^2 = len(points) + 2 * (pairs of
-        # points on a common runner)
-        points.sort()
-        pairs = run = 0
-        prev = -1
-        for r in points:
-            if r == prev:
-                run += 1
-                pairs += run
-            else:
-                prev, run = r, 0
-        squares = len(points) + 2 * pairs
-        squares += m * full * full + 2 * full * (n - m * full)
-        # sweep the arcs: on the runners [prev, pos) under depth arcs, the
-        # arcs add depth^2 each and twice depth for each point; the order
-        # of the ends at one runner does not change the sum
+        floors = full = 0
+        ends: list[int] = []  # 2 * runner, plus 1 where an arc starts
+        for a, b in intervals:
+            q, u = divmod(b, m)
+            s, t = divmod(a, m)
+            floors += (m * (q * (q - 1) - s * (s - 1)) >> 1) + q * u - s * t
+            full += q - s
+            ends += (2 * t + 1, 2 * u)
+        squares = m * full * full + 2 * full * (n - m * full)
+        # A_r = depth on the runners [prev, pos); the order of the ends at
+        # one runner does not change the sum
         ends.sort()
         depth = prev = 0
         for e in ends:
             pos = e >> 1
-            if depth:
-                inside = bisect_left(points, pos) - bisect_left(points, prev)
-                squares += depth * (depth * (pos - prev) + 2 * inside)
+            squares += depth * depth * (pos - prev)
             prev = pos
             depth += 1 if e & 1 else -1
         counts[m] = floors - (squares - n) // 2
@@ -315,24 +285,43 @@ def hook_count_divisible(lam: Partition, r: int) -> int:
     return divisible_hook_counts(lam, (r,))[r]
 
 
+def _valuation(
+    lam: Partition, gammas: Sequence[int], deltas: Sequence[int], p: int
+) -> int:
+    """The sum over r in gammas of sum_{k >= 1} N_{r * p**k}(lam), less the
+    same sum over deltas, where N_m counts the hooks divisible by m.
+
+    A hook h divisible by r contributes v_p(h / r) to the inner sum, the
+    number of k >= 1 with r * p**k dividing h, so at a prime p this is the
+    exponent of p in the product of the hooks divided by the parameters.
+    The terms stop once r * p**k exceeds the largest hook, and all counts
+    come from one call of the bead kernel.
+    """
+    top = largest_hook(lam)
+    terms: list[tuple[int, int]] = []
+    for divisors, sign in ((gammas, 1), (deltas, -1)):
+        for r in divisors:
+            m = r * p
+            while m <= top:
+                terms.append((sign, m))
+                m *= p
+    counts = divisible_hook_counts(lam, (m for _, m in terms))
+    return sum(sign * counts[m] for sign, m in terms)
+
+
 def valuation_hook_product(lam: Partition, p: int) -> int:
     """Exponent of the prime p in the product of all hook lengths.
 
     Equals the sum over i >= 1 of the number of hooks divisible by p**i
-    (each hook h contributes its own p-adic valuation). Composite moduli
-    are rejected: the same count can be formed for them, but it no longer
+    (each hook h contributes its own p-adic valuation): the prime-power sum
+    of `_valuation` for the single parameter 1. Composite moduli are
+    rejected: the same count can be formed for them, but it no longer
     measures a valuation, because cross factors (a 2 and a 3 in different
     hooks making a 6) never join up inside a single hook.
     """
     if not is_prime(p):
         raise ValueError(f"valuation requires a prime modulus, got {p}")
-    top = largest_hook(lam)
-    powers = []
-    pk = p
-    while pk <= top:
-        powers.append(pk)
-        pk *= p
-    return sum(divisible_hook_counts(lam, powers).values())
+    return _valuation(lam, (1,), (), p)
 
 
 def cells_with_exact_valuation(lam: Partition, p: int, d: int) -> int:

@@ -201,8 +201,10 @@ def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
 
 
 # Bounded, so a long run cannot grow it without limit; its callers
-# (ratio_factored, the hook verbs, dimension) revisit few shapes. It stays an
-# lru_cache because bench/child.py reads its cache_info().
+# (hook_multiset, which ratio_factored, check_multinomial,
+# check_divisor_family and the hooks verb read, restricted_hooks, dimension
+# and render_hook_diagram) revisit few shapes. It stays an lru_cache because
+# bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def _hook_values(parts: tuple[int, ...]) -> tuple[int, ...]:
     conj = _conjugate_parts(parts)

@@ -3,6 +3,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import hookratio.integral as integral_module
+from hookratio import InvariantError, cli
 from hookratio.cli import run
 
 from conftest import source_env
@@ -227,6 +231,19 @@ class TestConstructExtractVerbs:
         assert payload["lambda"] == "66^55"
         assert payload["valuation_at_p"] == -11
 
+    def test_construct_rechecks_its_valuation(self, capsys, monkeypatch):
+        # a valuation other than p times the signature of mu is a fault of
+        # the program and is raised, never printed
+        monkeypatch.setattr(
+            integral_module, "ratio_valuation", lambda lam, params, p: -1
+        )
+        with pytest.raises(InvariantError, match="expected -11"):
+            run([
+                "construct-lambda", "--mu", "6^5",
+                "--gamma", "1,30", "--delta", "2,3,5",
+            ])
+        assert capsys.readouterr().out == ""
+
     def test_construct_rejects_good_mu(self, capsys):
         code, _, err = invoke(
             capsys, "construct-lambda", "--mu", "3",
@@ -290,6 +307,21 @@ class TestHeight1Verb:
         assert payload["verdict"] == "Fails"
         assert payload["P"] is None and payload["A0"] is None
         assert payload["witness"]["mu"] == "2"
+
+    def test_only_the_one_row_check_empties_the_level_sets(
+        self, capsys, monkeypatch
+    ):
+        # a pair that passes the one-row check: any error of period_sets
+        # is reported, not taken for a failed check
+        def broken(params):
+            raise ValueError("period sets broke")
+
+        monkeypatch.setattr(cli, "period_sets", broken)
+        code, out, err = invoke(
+            capsys, "height1", "--gamma", "30,1", "--delta", "2,3,5"
+        )
+        assert (code, out) == (64, "")
+        assert err == "hookratio: error: period sets broke\n"
 
     def test_wrong_height_is_input_error(self, capsys):
         code, _, err = invoke(

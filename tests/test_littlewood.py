@@ -351,9 +351,26 @@ class TestHookCounts:
                 value -= rng.randint(1, 40)
             shapes.append(Partition.from_runs(runs))
         shapes.append(Partition(range(300, 0, -1)))  # staircase: all runs of 1
-        for lam in shapes:
+        # every modulus for runs of one part beside one long run, whose bead
+        # interval [39, 52) makes an arc ending at runner m - 1 at m = 26
+        # and 52 and one wrapping past it at m = 10, and for a mix of short
+        # and long runs
+        every = [
+            Partition.from_runs(
+                [(v, 1) for v in range(40, 20, -1)]
+                + [(20, 13)]
+                + [(v, 1) for v in range(19, 0, -1)]
+            ),
+            Partition.from_runs(
+                [(30, 4), (25, 1), (24, 6), (20, 1), (12, 9), (5, 1), (3, 2)]
+            ),
+        ]
+        for lam in shapes + every:
             top = lam.parts[0] + len(lam) - 1
-            moduli = sorted({rng.randint(1, top + 2) for _ in range(25)} | {1, 2, 3})
+            if lam in every:
+                moduli = range(1, top + 3)
+            else:
+                moduli = sorted({rng.randint(1, top + 2) for _ in range(25)} | {1, 2, 3})
             assert divisible_hook_counts(lam, moduli) == (
                 oracle_divisible_hook_counts(lam, moduli)
             ), lam.runs
