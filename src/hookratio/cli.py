@@ -21,8 +21,8 @@ from .height1 import (
     sumset,
 )
 from .integral import (
+    _multinomial_margin,
     _verified_fails,
-    check_multinomial,
     counts_signature,
     decide,
     extract_failing_mu,
@@ -33,7 +33,6 @@ from .littlewood import (
     compose,
     core_tower,
     decompose,
-    hook_count_divisible,
     quotient_tower,
 )
 from .partition import (
@@ -339,10 +338,7 @@ def _cmd_height1(args) -> _Result:
 
 def _cmd_multinomial(args) -> _Result:
     lam = parse_partition(args.partition)
-    ok = check_multinomial(lam, args.s, args.t)
-    margin = hook_count_divisible(lam, args.s) - args.t * hook_count_divisible(
-        lam, args.s * args.t
-    )
+    margin, ok = _multinomial_margin(lam, args.s, args.t)
     payload = {
         "partition": format_partition(lam),
         "s": args.s,

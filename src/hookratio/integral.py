@@ -119,7 +119,7 @@ Searching without balance.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._record import record
@@ -128,7 +128,6 @@ from .littlewood import (
     _valuation,
     _walk,
     divisible_hook_counts,
-    hook_count_divisible,
     largest_hook,
 )
 from .partition import (
@@ -514,11 +513,18 @@ def check_multinomial(lam: Partition, s: int, t: int) -> bool:
     restricted hook product by the t-th power of the st restricted hook
     product is integral. Both hold for every partition.
     """
+    return _multinomial_margin(lam, s, t)[1]
+
+
+def _multinomial_margin(lam: Partition, s: int, t: int) -> tuple[int, bool]:
+    """The count margin count(s) - t * count(st), from one hook count of
+    both moduli, and the verdict of :func:`check_multinomial`."""
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
-    margin = hook_count_divisible(lam, s) - t * hook_count_divisible(lam, s * t)
+    counts = divisible_hook_counts(lam, (s, s * t))
+    margin = counts[s] - t * counts[s * t]
     exps = _vector_ratio_exponents(lam, (s,), (s * t,) * t)
-    return margin >= 0 and all(e >= 0 for e in exps.values())
+    return margin, margin >= 0 and all(e >= 0 for e in exps.values())
 
 
 def check_divisor_family(lam: Partition, x: int, deltas: Sequence[int]) -> bool:
@@ -587,40 +593,51 @@ def _certified_by_flow(params: RatioParams) -> bool:
     """True when the divisibility network of fact 7 in the module
     docstring saturates every delta edge, which proves the ratio integral.
 
-    Entries of equal value share one node with their capacities added.
-    Edmonds-Karp augments along shortest residual paths, so the number of
-    augmentations is bounded by the size of the network, not by M.
+    Entries of equal value share one node with their capacities added, and
+    since the sides are disjoint each node is keyed by its entry, beside
+    the source 0 and the sink -1. The residual network holds, per node,
+    only the arcs that exist: source -> gamma, gamma -> delta where gamma
+    divides delta, delta -> sink, and the reverse of each. Edmonds-Karp
+    augments along shortest residual paths, so the number of augmentations
+    is bounded by the size of the network, not by M, and each search walks
+    those arcs only.
     """
     # a delta that no gamma divides receives nothing; most failing pairs
     # stop here, before the network is built
     if not all(any(d % g == 0 for g in params.gammas) for d in params.deltas):
         return False
     M = params.modulus
-    supply, demand = Counter(params.gammas), Counter(params.deltas)
-    gammas, deltas = list(supply), list(demand)
-    n = len(gammas) + len(deltas) + 2
-    source, sink = 0, n - 1
-    first_delta = len(gammas) + 1
-    residual = [[0] * n for _ in range(n)]
-    for i, g in enumerate(gammas, 1):
-        residual[source][i] = supply[g] * (M // g)
-        for k, d in enumerate(deltas, first_delta):
+    supply: dict[int, int] = {}
+    demand: dict[int, int] = {}
+    for g in params.gammas:
+        supply[g] = supply.get(g, 0) + M // g
+    for d in params.deltas:
+        demand[d] = demand.get(d, 0) + M // d
+    source, sink = 0, -1
+    # the source's arcs are the supplies, read as such only until the
+    # first augmentation
+    residual = {source: supply, sink: dict.fromkeys(demand, 0)}
+    for g in supply:
+        residual[g] = {source: 0}
+    for d, need in demand.items():
+        arcs = residual[d] = {sink: need}
+        for g in supply:
             if d % g == 0:
-                residual[i][k] = residual[source][i]
-    for k, d in enumerate(deltas, first_delta):
-        residual[k][sink] = demand[d] * (M // d)
+                residual[g][d] = supply[g]
+                arcs[g] = 0
     while True:
-        prev = [-1] * n
-        prev[source] = source
-        queue = deque([source])
-        while queue and prev[sink] < 0:
-            u = queue.popleft()
-            for v, free in enumerate(residual[u]):
-                if free and prev[v] < 0:
+        # breadth first; the queue grows while it is read
+        prev = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, free in residual[u].items():
+                if free and v not in prev:
                     prev[v] = u
                     queue.append(v)
-        if prev[sink] < 0:
-            return not any(residual[k][sink] for k in range(first_delta, sink))
+            if sink in prev:
+                break
+        else:
+            return not any(residual[d][sink] for d in demand)
         path = []
         v = sink
         while v != source:

@@ -242,13 +242,13 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
     len(lam) are.
     """
-    n = len(lam)
-    top = largest_hook(lam)
-    intervals = []  # [a, b) per run
-    below = n
-    for value, mult in lam.runs:
-        below -= mult  # the rows below this run
-        intervals.append((value + below, value + below + mult))
+    intervals = []  # [a, b) per run, from the last run up
+    n = 0  # the rows below this run, len(lam) once all are read
+    for value, mult in reversed(lam.runs):
+        intervals.append((value + n, value + n + mult))
+        n += mult
+    # the top bead, lam_1 - 1 + n, is the largest hook
+    top = intervals[-1][1] - 1 if intervals else 0
     counts: dict[int, int] = {}
     for m in moduli:
         if m < 1:

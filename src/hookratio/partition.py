@@ -244,7 +244,9 @@ def construct_hook_partition(arm: int, leg: int) -> Partition:
     """
     if arm < 0 or leg < 0:
         raise ValueError("arm and leg must be nonnegative")
-    return Partition((1 + arm,) + (1,) * leg)
+    # with no arm or no leg the shape is a single run
+    runs = ((1 + arm, 1), (1, leg)) if arm and leg else ((1 + arm, 1 + leg),)
+    return Partition.from_runs(runs)
 
 
 def dimension(lam: Partition) -> int:

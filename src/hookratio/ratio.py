@@ -2,20 +2,23 @@
 
 A pair of vectors (gammas, deltas) of positive integers defines the step
 function f(x) = sum_k floor(x / gamma_k) - sum_l floor(x / delta_l) and the
-divisor indicator g(y) whose prefix sums reproduce f. Under the balancing
-condition (the reciprocal sums agree) f has least period exactly the lcm M
-of all entries (proved at :func:`build_ftable`), and one period of values
-decides one-row integrality (the classical criterion). All breakpoints of
-f are integers, so every statement made "for small enough epsilon" is
-evaluated here at integer arguments only.
+signed divisor count g(y) = #{gamma | y} - #{delta | y}, whose prefix
+sums reproduce f. Under the balancing condition (the reciprocal sums
+agree) f has least period exactly the lcm M of all entries (proved at
+:func:`build_ftable`), and one period of values decides one-row
+integrality (the classical criterion). The period table is built from g:
+f changes only at multiples of an entry, so it is one pass over those
+multiples and one running sum. All breakpoints of f are integers, so every
+statement made "for small enough epsilon" is evaluated here at integer
+arguments only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, eq, floordiv, sub
+from operator import add, eq, sub
 
 from ._record import record
 
@@ -153,9 +156,10 @@ class FTable:
 # lru_cache because bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M), which is one least period of f, in one
-    column pass per parameter, floor(x / r) over the window, summed with
-    the signs of f.
+    """Tabulate f over [0, M), which is one least period of f, as the
+    prefix sums of its steps g(y) = #{gamma | y} - #{delta | y}: each
+    parameter r adds its sign at the multiples of r in one slice pass, so
+    the table costs O(M + sum M / r).
 
     Balance makes M a period: f(x + M) - f(x) = sum M/gamma - sum M/delta.
     No P | M below it is one. Set w_r = #{gamma = r} - #{delta = r}, which
@@ -179,14 +183,12 @@ def build_ftable(params: RatioParams) -> FTable:
             f"parameters {params} are not balanced; the period is undefined"
         )
     M = params.modulus
-    window = range(M)
-    first, *rest = params.gammas
-    total = map(floordiv, window, repeat(first))
-    for g in rest:
-        total = map(add, total, map(floordiv, window, repeat(g)))
-    for d in params.deltas:
-        total = map(sub, total, map(floordiv, window, repeat(d)))
-    values = tuple(total)
+    steps = [0] * M  # g(y) at y in [1, M); f(0) = 0
+    for r in params.gammas:
+        steps[r::r] = map(add, steps[r::r], repeat(1))
+    for r in params.deltas:
+        steps[r::r] = map(sub, steps[r::r], repeat(1))
+    values = tuple(accumulate(steps))
     height = params.height
     if not all(map(eq, map(add, values, reversed(values)), repeat(height))):
         raise InvariantError(f"reflection identity fails for {params}")

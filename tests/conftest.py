@@ -9,7 +9,7 @@ recurrence, and tableau counts by corner removal.
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 from pathlib import Path
 
@@ -299,6 +299,26 @@ def oracle_whitelist(params):
     pairs (s, st), the divisor family and the height one exception
     ((x), (2x, 2x)), and nothing else."""
     return params.K == 1 and all(d % params.gammas[0] == 0 for d in params.deltas)
+
+
+def oracle_flow_certified(params):
+    """Whether the divisibility network of fact 7 in the integral module
+    docstring saturates every delta edge, by Gale's supply-demand
+    condition (its min cut): every set Y of distinct deltas demands at most
+    what the gammas dividing some delta in Y supply. Each copy of delta
+    demands 1/delta and each copy of gamma supplies 1/gamma, the
+    capacities divided by M; the gamma -> delta edges never bind."""
+    distinct = sorted(set(params.deltas))
+    for k in range(1, len(distinct) + 1):
+        for ys in combinations(distinct, k):
+            demand = sum(Fraction(1, d) for d in params.deltas if d in ys)
+            supply = sum(
+                Fraction(1, g) for g in params.gammas
+                if any(d % g == 0 for d in ys)
+            )
+            if demand > supply:
+                return False
+    return True
 
 
 def exact_ratio_value(lam, gammas, deltas):

@@ -38,7 +38,9 @@ from hookratio import (
 from conftest import (
     WITNESS_LADDER,
     all_partitions_through,
+    balanced_parameter_grid,
     exact_ratio_value,
+    oracle_flow_certified,
     oracle_hook_shape_scan,
     oracle_least_failing_mu,
     oracle_ratio_valuation,
@@ -506,6 +508,21 @@ class TestDivisibilityFlow:
         assert params.is_balanced
         assert integral_module._certified_by_flow(params)
         assert decide(params, 8).status == STATUS_INTEGRAL
+
+    def test_matches_gale_condition(self, survey_grid):
+        # the census of entries <= 24 and 1 to 4 per side, and the survey
+        census = balanced_parameter_grid(max_entry=24, max_len=4)
+        for pairs, expected in ((census, 135), (survey_grid, 47)):
+            certified = [p for p in pairs if integral_module._certified_by_flow(p)]
+            assert certified == [p for p in pairs if oracle_flow_certified(p)]
+            assert len(certified) == expected
+            # pairs where every delta has a divisor but the supply falls
+            # short, so the answer comes from the flow, not its pre-check
+            assert any(
+                p not in certified
+                and all(any(d % g == 0 for g in p.gammas) for d in p.deltas)
+                for p in pairs
+            )
 
     def test_certified_pairs_search_clean(self, balanced_grid, survey_grid):
         for pairs, bound, expected in ((balanced_grid, 14, 23), (survey_grid, 16, 47)):

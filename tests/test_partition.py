@@ -291,9 +291,23 @@ class TestHookPartition:
         expected[arm + leg + 1] += 1
         assert hook_multiset(construct_hook_partition(arm, leg)) == expected
 
+    def test_matches_row_built_shape(self):
+        # built from its runs; equal in every respect to the shape built
+        # from its rows, also with no arm or no leg
+        for arm in range(9):
+            for leg in range(9):
+                lam = construct_hook_partition(arm, leg)
+                rows = Partition((1 + arm,) + (1,) * leg)
+                assert lam == rows and hash(lam) == hash(rows), (arm, leg)
+                assert lam.runs == rows.runs, (arm, leg)
+                assert lam.parts == rows.parts, (arm, leg)
+                assert (lam.size, len(lam)) == (rows.size, len(rows)), (arm, leg)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             construct_hook_partition(-1, 0)
+        with pytest.raises(ValueError):
+            construct_hook_partition(0, -1)
 
 
 class TestDimension:

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -258,24 +258,23 @@ class TestFTable:
         assert self._assert_matches_oracle(pairs) == 12
 
     @staticmethod
-    def _corrupt_first_gamma(monkeypatch, params, offsets):
-        # the column pass of the first gamma adds offsets[x] at x
-        first = params.gammas[0]
+    def _corrupt_prefix_sums(monkeypatch, offsets):
+        # the running sum of the steps of f comes out offsets[x] off at x
+        def patched(steps):
+            sums = accumulate(steps)
+            return (v + offsets.get(x, 0) for x, v in enumerate(sums))
 
-        def patched(x, r):
-            return x // r + (offsets.get(x, 0) if r == first else 0)
-
-        monkeypatch.setattr(ratio_module, "floordiv", patched)
+        monkeypatch.setattr(ratio_module, "accumulate", patched)
 
     def test_reflection_check_catches_a_corrupted_table(self, monkeypatch):
-        self._corrupt_first_gamma(monkeypatch, CHEBYSHEV, {1: 1})
+        self._corrupt_prefix_sums(monkeypatch, {1: 1})
         with pytest.raises(InvariantError, match="reflection identity"):
             build_ftable.__wrapped__(CHEBYSHEV)
 
     def test_corner_check_catches_a_corrupted_table(self, monkeypatch):
         # f(0) - 1 and f(M - 1) + 1 keep every reflected pair summing to
         # L - K, so only the corner check can see it
-        self._corrupt_first_gamma(monkeypatch, CHEBYSHEV, {0: -1, 29: 1})
+        self._corrupt_prefix_sums(monkeypatch, {0: -1, 29: 1})
         with pytest.raises(InvariantError, match=r"f\(M - 1\) != L - K"):
             build_ftable.__wrapped__(CHEBYSHEV)
 
