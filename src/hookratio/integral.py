@@ -57,7 +57,11 @@ it:
    grow along the walk, and coordinates that must still sum to s cost at
    least |s|, so the least cost of the remaining coordinates for each sum
    is a finite table, built once, and a prefix is cut as soon as its cost
-   plus that least cost exceeds the budget.
+   plus that least cost exceeds the budget. t_j is convex with positive
+   marginals, 2px + 2j + 1 up from x >= 0 and 2px + 2p - 2j - 1 down from
+   -x, and mixing signs never helps (a unit of each back toward 0 keeps the
+   sum and lowers the cost), so that least cost for a sum s is the sum of
+   the |s| least marginals of its sign: the table is greedy.
 6. Live coordinates. With p = M, t_j(1) = 2j + 1, t_j(-1) = 2M - 2j - 1,
    t_j(x) - t_j(1) = (x - 1)(Mx + 2j + 1) >= 0 for x >= 1, and
    t_j(x) - t_j(-1) = (x + 1)(Mx - 2M + 2j + 1) >= 0 for x <= -1, where
@@ -120,6 +124,7 @@ Searching without balance.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._record import record
@@ -140,7 +145,9 @@ from .partition import (
     max_enumeration_size,
 )
 from .primes import factorize, is_prime, next_prime_above
-from .ratio import InvariantError, RatioParams, _reciprocal_excess, build_ftable
+from .ratio import (
+    InvariantError, RatioParams, _f_upto, _reciprocal_excess, build_ftable
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -281,20 +288,26 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     a and l modulo the least period of f, exactly M, so scanning a, l in
     [0, M) covers every hook shape.
 
-    f is read from its table doubled into a plain tuple, which holds it at
-    every argument up to 2M - 1 >= a + l + 1. The pairs are visited in
-    (a + l, a) order and the scan returns at the first negative signature,
-    f(a) + f(l) < f(s) - f(s+1) with s = a + l. A diagonal s whose drop
-    f(s) - f(s+1) is at most 2 min f holds no such pair and is skipped, so
-    the first hit is the one the full grid gives.
+    The pairs are visited in (a + l, a) order and the scan returns at the
+    first negative signature, f(a) + f(l) < f(s) - f(s+1) with s = a + l.
+    Diagonal s reads f(a) and f(l) only on [0, min(s, M - 1)], so it holds
+    no hit, and is skipped, when its drop f(s) - f(s+1) is at most twice
+    the least f there. f is built on [0, head] only, head the largest entry
+    (<= M), where nearly all first hits lie; a scan past head reads the
+    period table, doubled to hold f up to 2M - 1 >= a + l + 1. Unbalanced
+    parameters raise before any f is built, as f has no period.
     """
-    table = build_ftable(params)
-    M = table.M
-    f = table.values * 2
-    least_pair = 2 * table.min
+    M = params.modulus
+    head = max(params.gammas + params.deltas)
+    f = _f_upto(params, head + 1)
+    least = 0  # f(0)
     for s in range(0, 2 * M - 1):
+        if s == head:
+            f = build_ftable(params).values * 2
+        if s < M and f[s] < least:
+            least = f[s]
         drop = f[s] - f[s + 1]
-        if drop <= least_pair:
+        if drop <= 2 * least:
             continue
         for a in range(max(0, s - M + 1), min(s, M - 1) + 1):
             if f[a] + f[s - a] < drop:
@@ -316,6 +329,27 @@ def _core_counts(M: int, limit: int) -> list[int]:
     return counts
 
 
+def _rest_costs(M: int, live: list[int], top: int) -> list[list[int]]:
+    """rest[i][top + s]: the least cost of the live coordinates i.. when
+    they sum to s, the sum of their |s| least marginals of the sign of s
+    (fact 5), or top + 1 above the budget top. As |s| <= cost, s runs over
+    [-top, top]."""
+    rest = []
+    for i in range(len(live) + 1):
+        row = [top + 1] * top + [0] + [top + 1] * top
+        # the x-th marginal (x >= 0) of j: 2Mx + 2j + 1 up, 2Mx + 2M - 2j - 1 down
+        for sign, first in ((1, 1), (-1, 2 * M - 1)):
+            marginals = sorted(
+                t for j in live[i:] for t in range(first + 2 * sign * j, top + 1, 2 * M)
+            )
+            for s, cost in enumerate(accumulate(marginals), 1):
+                if cost > top:
+                    break
+                row[top + sign * s] = cost
+        rest.append(row)
+    return rest
+
+
 def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     """Lexicographically least M-core with negative signature among those of
     the smallest failing size up to limit.
@@ -335,23 +369,7 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     terms = [(w * (M // r), r, [0] * r) for r, w in weight.items() if r > 1 and w]
     # live coordinate j moves residue j mod r of each r-charge vector
     updates = [[(w, r, j % r, S) for w, r, S in terms] for j in live]
-    # rest[i][top + s]: least cost of the live coordinates i.. when they
-    # sum to s; by the pruning lemma |s| <= cost, so the range [-top, top]
-    # holds every sum within budget, and top + 1 stands for out of budget
-    rest = [[top + 1] * (2 * top + 1) for _ in range(n + 1)]
-    rest[n][top] = 0
-    for i in range(n - 1, -1, -1):
-        j = live[i]
-        moves = [
-            (x, t) for x in range(-top, top + 1)
-            if (t := M * x * x + (2 * j - M + 1) * x) <= top
-        ]
-        row, below = rest[i], rest[i + 1]
-        for k in range(2 * top + 1):
-            row[k] = min(
-                [t + below[k - x] for x, t in moves if 0 <= k - x <= 2 * top],
-                default=top + 1,
-            )
+    rest = _rest_costs(M, live, top)
     c = [0] * M
     visited = [0] * (limit + 1)
     budget = top
@@ -429,7 +447,7 @@ def find_failing_mu(
 ) -> Partition | None:
     """Search for a partition with negative counts signature.
 
-    With hooks_only, only hook shapes are scanned through the period table
+    With hooks_only, only hook shapes are scanned, over a full period of f
     (no size restriction; this is a complete decision at height 1 and a
     heuristic otherwise) and balance is required. Otherwise, balanced or
     not, it returns the lexicographically least partition with negative

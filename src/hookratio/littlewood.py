@@ -219,6 +219,17 @@ def largest_hook(lam: Partition) -> int:
     return lam.first + len(lam) - 1 if lam else 0
 
 
+def _beads(lam: Partition) -> tuple[list[tuple[int, int]], int, int]:
+    """The bead interval [a, b) of each run of lam, from the last run up,
+    n = len(lam) and the top bead lam_1 - 1 + n, the largest hook, or 0."""
+    intervals = []
+    n = 0  # the rows below this run, len(lam) once all are read
+    for value, mult in reversed(lam.runs):
+        intervals.append((value + n, value + n + mult))
+        n += mult
+    return intervals, n, intervals[-1][1] - 1 if intervals else 0
+
+
 def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, int]:
     """N_m, the number of hooks of lam divisible by m, for each modulus m.
 
@@ -242,13 +253,12 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
     len(lam) are.
     """
-    intervals = []  # [a, b) per run, from the last run up
-    n = 0  # the rows below this run, len(lam) once all are read
-    for value, mult in reversed(lam.runs):
-        intervals.append((value + n, value + n + mult))
-        n += mult
-    # the top bead, lam_1 - 1 + n, is the largest hook
-    top = intervals[-1][1] - 1 if intervals else 0
+    return _hook_counts(_beads(lam), moduli)
+
+
+def _hook_counts(beads, moduli: Iterable[int]) -> dict[int, int]:
+    """`divisible_hook_counts` of the partition whose `_beads` these are."""
+    intervals, n, top = beads
     counts: dict[int, int] = {}
     for m in moduli:
         if m < 1:
@@ -295,17 +305,17 @@ def _valuation(
     number of k >= 1 with r * p**k dividing h, so at a prime p this is the
     exponent of p in the product of the hooks divided by the parameters.
     The terms stop once r * p**k exceeds the largest hook, and all counts
-    come from one call of the bead kernel.
+    come from one call of the bead kernel on the beads read for that hook.
     """
-    top = largest_hook(lam)
+    beads = _beads(lam)
     terms: list[tuple[int, int]] = []
     for divisors, sign in ((gammas, 1), (deltas, -1)):
         for r in divisors:
             m = r * p
-            while m <= top:
+            while m <= beads[2]:
                 terms.append((sign, m))
                 m *= p
-    counts = divisible_hook_counts(lam, (m for _, m in terms))
+    counts = _hook_counts(beads, (m for _, m in terms))
     return sum(sign * counts[m] for sign, m in terms)
 
 

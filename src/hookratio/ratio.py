@@ -43,8 +43,8 @@ class RatioParams:
 
     gammas: tuple[int, ...]
     deltas: tuple[int, ...]
-    # _balanced is set by __post_init__ and, not being annotated, is no
-    # field: it takes no part in equality, hashing or the repr
+    # _modulus and _balanced, set by __post_init__ and not annotated, are
+    # no fields: they take no part in equality, hashing or the repr
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
@@ -58,9 +58,10 @@ class RatioParams:
             raise ValueError(
                 f"gammas and deltas must be disjoint, both contain {sorted(shared)}"
             )
-        object.__setattr__(
-            self, "_balanced", _reciprocal_excess(self.gammas, self.deltas) == 0
-        )
+        M = lcm(*self.gammas, *self.deltas)
+        excess = sum(M // g for g in self.gammas) - sum(M // d for d in self.deltas)
+        object.__setattr__(self, "_modulus", M)
+        object.__setattr__(self, "_balanced", excess == 0)
 
     @classmethod
     def normalized(cls, gammas, deltas) -> "RatioParams":
@@ -88,8 +89,8 @@ class RatioParams:
 
     @property
     def modulus(self) -> int:
-        """M, the lcm of all entries."""
-        return lcm(*self.gammas, *self.deltas)
+        """M, the lcm of all entries, computed once in __post_init__."""
+        return self._modulus
 
     @property
     def is_balanced(self) -> bool:
@@ -151,15 +152,29 @@ class FTable:
         }
 
 
-# Bounded, so a long run cannot grow it without limit: 4096 holds every pair
-# of a survey of all 850 balanced pairs with entries <= 12. It stays an
-# lru_cache because bench/child.py reads its cache_info().
+def _f_upto(params: RatioParams, n: int) -> tuple[int, ...]:
+    """f on [0, n) for balanced parameters, as the prefix sums of its steps
+    g(y) = #{gamma | y} - #{delta | y}: each parameter r adds its sign at
+    the multiples of r in one slice pass, so this costs O(n + sum n / r)."""
+    if not params.is_balanced:
+        raise ValueError(
+            f"parameters {params} are not balanced; the period is undefined"
+        )
+    steps = [0] * n  # g(y) at y in [1, n); f(0) = 0
+    for r in params.gammas:
+        steps[r::r] = map(add, steps[r::r], repeat(1))
+    for r in params.deltas:
+        steps[r::r] = map(sub, steps[r::r], repeat(1))
+    return tuple(accumulate(steps))
+
+
+# Bounded, so a long run cannot grow it without limit: `decide` builds a
+# table only when its hook scan passes the prefix of f, for 12 of the 850
+# survey pairs. It stays an lru_cache: bench/child.py reads its cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M), which is one least period of f, as the
-    prefix sums of its steps g(y) = #{gamma | y} - #{delta | y}: each
-    parameter r adds its sign at the multiples of r in one slice pass, so
-    the table costs O(M + sum M / r).
+    """Tabulate f over [0, M), which is one least period of f, by
+    `_f_upto`, in O(M + sum M / r).
 
     Balance makes M a period: f(x + M) - f(x) = sum M/gamma - sum M/delta.
     No P | M below it is one. Set w_r = #{gamma = r} - #{delta = r}, which
@@ -178,17 +193,8 @@ def build_ftable(params: RatioParams) -> FTable:
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
     case f(M-1) = L - K hold for every balanced pair and are checked here.
     """
-    if not params.is_balanced:
-        raise ValueError(
-            f"parameters {params} are not balanced; the period is undefined"
-        )
     M = params.modulus
-    steps = [0] * M  # g(y) at y in [1, M); f(0) = 0
-    for r in params.gammas:
-        steps[r::r] = map(add, steps[r::r], repeat(1))
-    for r in params.deltas:
-        steps[r::r] = map(sub, steps[r::r], repeat(1))
-    values = tuple(accumulate(steps))
+    values = _f_upto(params, M)
     height = params.height
     if not all(map(eq, map(add, values, reversed(values)), repeat(height))):
         raise InvariantError(f"reflection identity fails for {params}")

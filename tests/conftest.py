@@ -235,8 +235,9 @@ def oracle_ftable(params):
 def oracle_hook_shape_scan(params):
     """First (arm, leg), ordered by (arm + leg, arm), whose hook shape has
     negative signature f(a) + f(l) + f(a+l+1) - f(a+l), over the grid
-    [0, P)^2 with P = M, reading f through FTable.f: the scan as it was
-    before it read a doubled period."""
+    [0, P)^2 with P = M, reading f through the full period table by
+    FTable.f and skipping no diagonal: the scan without its prefix of f and
+    without its running-minimum skip."""
     from hookratio import build_ftable
 
     table = build_ftable(params)
@@ -247,6 +248,29 @@ def oracle_hook_shape_scan(params):
             if table.f(a) + table.f(l) + table.f(s + 1) - table.f(s) < 0:
                 return (a, l)
     return None
+
+
+def oracle_rest_costs(M, live, top):
+    """rest[i][top + s], the least cost sum t_j(c_j) over the live
+    coordinates i.. with sum c_j = s, or top + 1 above top, by min-plus
+    convolution over every move x with t_j(x) <= top: the table the M-core
+    walk built before it took the greedy sum of least marginals."""
+    n = len(live)
+    rest = [[top + 1] * (2 * top + 1) for _ in range(n + 1)]
+    rest[n][top] = 0
+    for i in range(n - 1, -1, -1):
+        j = live[i]
+        moves = [
+            (x, t) for x in range(-top, top + 1)
+            if (t := M * x * x + (2 * j - M + 1) * x) <= top
+        ]
+        row, below = rest[i], rest[i + 1]
+        for k in range(2 * top + 1):
+            row[k] = min(
+                [t + below[k - x] for x, t in moves if 0 <= k - x <= 2 * top],
+                default=top + 1,
+            )
+    return rest
 
 
 def random_balanced_pairs(rng, count, max_modulus):

@@ -18,6 +18,7 @@ from hookratio import (
     InvariantError,
     Partition,
     RatioParams,
+    build_ftable,
     check_divisor_family,
     check_multinomial,
     construct_failing_lambda,
@@ -44,6 +45,7 @@ from conftest import (
     oracle_hook_shape_scan,
     oracle_least_failing_mu,
     oracle_ratio_valuation,
+    oracle_rest_costs,
     oracle_whitelist,
     signature_from_charges,
     source_env,
@@ -214,6 +216,22 @@ class TestHookShapeScan:
     def test_matches_oracle_on_witness_ladder(self):
         assert self._assert_matches_oracle(WITNESS_LADDER) == 5
 
+    @pytest.mark.parametrize(
+        "gammas, deltas, reads",
+        # the hit (1, 7) lies on diagonal 8, the last below the largest
+        # entry 9, so f is read from its prefix alone and no table is built
+        # or looked up; the hit (6, 9) lies on diagonal 15, past the largest
+        # entry 12, and the scan reads the table once
+        [((2,), (6, 9, 9, 9), 0), ((1, 12), (2, 3, 8, 8), 1)],
+    )
+    def test_reads_the_table_only_past_the_head(self, gammas, deltas, reads):
+        params = RatioParams(gammas, deltas)
+        before = build_ftable.cache_info()
+        found = integral_module._hook_shape_scan(params)
+        after = build_ftable.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + reads
+        assert found == oracle_hook_shape_scan(params)
+
     def test_hit_at_m_442860(self):
         params = RatioParams((3660,), (7260, 7381))
         assert params.modulus == 442_860
@@ -256,7 +274,13 @@ class TestFindFailingMu:
             )
 
     def test_hooks_only_needs_balance(self):
-        with pytest.raises(ValueError):
+        # the scan checks balance before it builds its prefix of f, on which
+        # an unbalanced pair could otherwise report a hit
+        message = (
+            r"^parameters \(\(2\),\(3\)\) are not balanced; "
+            r"the period is undefined$"
+        )
+        with pytest.raises(ValueError, match=message):
             find_failing_mu(RatioParams((2,), (3,)), 5, hooks_only=True)
 
     def test_unbalanced_exhaustive(self):
@@ -309,6 +333,20 @@ class TestCoreSearch:
         )
         params = RatioParams((1,), (M,) * M)
         assert integral_module._least_failing_core(params, 14) is None
+
+    def test_greedy_rest_matches_min_plus_oracle(self):
+        # fact 5: the least cost of the live coordinates for each sum is the
+        # sum of the least marginals of its sign
+        checked = 0
+        for M in range(2, 40):
+            for limit in range(1, 21):
+                live = [j for j in range(M) if j < limit or j >= M - limit]
+                top = 2 * limit
+                assert integral_module._rest_costs(M, live, top) == (
+                    oracle_rest_costs(M, live, top)
+                ), (M, limit)
+                checked += 1
+        assert checked == 38 * 20
 
     def test_count_mismatch_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr(

@@ -78,10 +78,20 @@ class TestRatioParams:
         monkeypatch.setattr(ratio_module, "lcm", no_lcm)
         assert balanced.is_balanced and not unbalanced.is_balanced
 
+    def test_modulus_is_computed_once(self, monkeypatch):
+        p, unbalanced = RatioParams((2, 3), (4, 4, 6, 6)), RatioParams((2,), (3,))
+
+        def no_lcm(*args):
+            raise AssertionError("modulus recomputed the lcm")
+
+        monkeypatch.setattr(ratio_module, "lcm", no_lcm)
+        assert (p.modulus, unbalanced.modulus) == (12, 6)
+
     def test_balance_takes_no_part_in_equality_or_repr(self):
         p, q = RatioParams((2, 3), (4, 4, 6, 6)), RatioParams((2, 3), (4, 4, 6, 6))
         assert p == q and hash(p) == hash(q)
         assert repr(p) == "RatioParams(gammas=(2, 3), deltas=(4, 4, 6, 6))"
+        assert hash(p) == hash(((2, 3), (4, 4, 6, 6)))
 
 
 class TestBalanceInIntegers:
