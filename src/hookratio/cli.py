@@ -495,6 +495,10 @@ def run(argv: list[str]) -> int:
     except Height1ContradictionError as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        # a shape too large to hold, not a verdict: exit 1 would read as Fails
+        print("hookratio: error: out of memory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def main() -> None:

@@ -152,11 +152,8 @@ def period_sets(params: RatioParams) -> PeriodSets:
 def is_canonical_exception(params: RatioParams) -> bool:
     """True for the single integral height 1 shape: one gamma, two equal
     deltas, each twice the gamma."""
-    return (
-        params.K == 1
-        and params.L == 2
-        and params.deltas[0] == params.deltas[1] == 2 * params.gammas[0]
-    )
+    x = params.signed[0][0]
+    return params.signed == ((x, 1), (2 * x, -2))
 
 
 def decide_height1(params: RatioParams) -> Verdict:

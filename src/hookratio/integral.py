@@ -45,8 +45,8 @@ it:
    p c_j (c_j - 1) / 2 + j c_j in all (also when c_j < 0, as a removal).
    Using sum c = 0 again, 2|core| = sum_j t_j(c_j) with
    t_j(x) = p x^2 + (2j - p + 1) x.
-   With 1-3, 2M sig = sum_r w_r (r sum_i S_i^2 + 2 sum_i i S_i) over the
-   distinct entries r > 1, where w_r = (M / r)(#{delta = r} - #{gamma = r});
+   With 1-3, 2M sig = sum_r -k_r (M / r) (r sum_i S_i^2 + 2 sum_i i S_i)
+   over the distinct entries r > 1, where k_r = #{gamma = r} - #{delta = r};
    the 1-core is empty, so r = 1 adds nothing.
 4. Minimality. If sig(lam) < 0 and lam is not an M-core, its M-core is
    strictly smaller and fails too (by 2). So every failing partition of the
@@ -86,31 +86,34 @@ Certifying by a divisibility flow. `decide` certifies before it searches:
    |core_b(lam)| <= |core_a(lam)|, and core_b(lam) = core_b(core_a(lam)):
    removing an a-hook moves one bead by a positions, along its runner of
    the b-abacus, so the b-charges stay and with them the b-core (fact 2).
-   Now take the network in which a source feeds each gamma with capacity
-   M / gamma, each gamma has an edge to every delta it divides, and each
-   delta feeds a sink with capacity M / delta, and suppose a flow f
-   saturates every delta edge. Let x_{gamma delta} = f_{gamma delta} /
-   (M / delta) be the share of delta's demand that comes from gamma, so
-   sum_gamma x_{gamma delta} = 1. For q = 1 and for every prime power
-   q = p^k, gamma q divides delta q on each edge, and
-       sum_delta N_{delta q} <= sum_{gamma, delta} x_{gamma delta}
-           (gamma / delta) N_{gamma q} <= sum_gamma N_{gamma q},
-   the last step because gamma sends at most M / gamma. With q = 1 the
-   signature is >= 0 at every lam; summed over q = p^k, k >= 1, so is the
-   exponent of every prime p in the ratio (the sum that `ratio_valuation`
-   counts). So the ratio is an integer at every partition, without the
-   tower identity. A single gamma dividing every delta is such a network,
-   and the certificate is closed under multiset union (add the flows,
-   scaled to the common M) and under cancelling an entry on both sides
-   (route the flow into it on to where it went out).
+   Now take the network on the distinct entries r, a gamma when k_r > 0
+   and a delta when k_r < 0, in which a source feeds each gamma with
+   capacity k_gamma M / gamma, each gamma has an edge to every delta it
+   divides, and each delta feeds a sink with capacity -k_delta M / delta,
+   and suppose a flow f saturates every delta edge. Let x_{gamma delta} =
+   f_{gamma delta} / (-k_delta M / delta) be the share of delta's demand
+   that comes from gamma, so sum_gamma x_{gamma delta} = 1. For q = 1 and
+   for every prime power q = p^i, gamma q divides delta q on each edge,
+   and
+       sum_delta -k_delta N_{delta q}
+           <= sum_{gamma, delta} x_{gamma delta} (-k_delta) (gamma / delta)
+              N_{gamma q} <= sum_gamma k_gamma N_{gamma q},
+   the last step because gamma sends at most k_gamma M / gamma. With q = 1
+   the signature is >= 0 at every lam; summed over q = p^i, i >= 1, so is
+   the exponent of every prime p in the ratio (the sum that
+   `ratio_valuation` counts). So the ratio is an integer at every
+   partition, without the tower identity. A single gamma dividing every
+   delta is such a network, and the certificate is closed under multiset
+   union (add the flows, scaled to the common M) and under cancelling an
+   entry on both sides (route the flow into it on to where it went out).
 
 Searching without balance.
 
 8. Without balance fact 1 leaves sig(lam) = s |lam| + g(core_M(lam)),
    with s = sum 1/gamma - sum 1/delta and g the balanced expression of
    fact 1, which fact 2 still carries from lam to core_M(lam). So 2M sig =
-   m * 2|lam| + the sum of fact 3, with the integer m = sum M/gamma -
-   sum M/delta = M s, and on an M-core 2|lam| is the walk's cost.
+   m * 2|lam| + the sum of fact 3, with the integer m = sum_r k_r M / r =
+   M s, and on an M-core 2|lam| is the walk's cost.
    If m > 0 and lam fails but is not an M-core, its M-core is strictly
    smaller and s |core| + g < s |lam| + g < 0, so it fails too: as in
    fact 4 the least failing partition is an M-core and the walk applies
@@ -123,7 +126,6 @@ Searching without balance.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -146,7 +148,7 @@ from .partition import (
 )
 from .primes import factorize, is_prime, next_prime_above
 from .ratio import (
-    InvariantError, RatioParams, _f_upto, _reciprocal_excess, build_ftable
+    InvariantError, RatioParams, _f_upto, _reciprocal_excess, _signed, build_ftable
 )
 
 if TYPE_CHECKING:
@@ -227,47 +229,44 @@ class FactoredRatio:
 
 
 def _vector_ratio_exponents(
-    lam: Partition, gammas: Sequence[int], deltas: Sequence[int]
+    lam: Partition, signed: Sequence[tuple[int, int]]
 ) -> dict[int, int]:
-    """Prime exponents of the ratio: each hook h divisible by a parameter
-    contributes the factors of h // parameter, positively for gammas and
-    negatively for deltas."""
+    """Prime exponents of prod_r H_r(lam)^{k_r} over the pairs (r, k_r) of
+    signed: each hook h divisible by r contributes k_r times the factors
+    of h // r."""
     hooks = hook_multiset(lam)
     exps: dict[int, int] = {}
-    for divisors, sign in ((gammas, 1), (deltas, -1)):
-        for divisor in divisors:
-            for h, count in hooks.items():
-                if h % divisor == 0:
-                    for p, e in factorize(h // divisor):
-                        exps[p] = exps.get(p, 0) + sign * count * e
+    for r, k in signed:
+        for h, count in hooks.items():
+            if h % r == 0:
+                for p, e in factorize(h // r):
+                    exps[p] = exps.get(p, 0) + k * count * e
     return exps
 
 
 def ratio_factored(lam: Partition, params: RatioParams) -> FactoredRatio:
     """Exact prime factorization of the hook product ratio at lam."""
-    return FactoredRatio(_vector_ratio_exponents(lam, params.gammas, params.deltas))
+    return FactoredRatio(_vector_ratio_exponents(lam, params.signed))
 
 
 def counts_signature(mu: Partition, params: RatioParams) -> int:
-    """Signed hook count sum: sum over gammas of N_gamma(mu) minus sum over
-    deltas of N_delta(mu), where N_m counts the hooks divisible by m. A
-    repeated parameter counts once per entry. All counts come from one call
-    of the bead kernel, so no hook of mu is listed.
+    """Signed hook count sum: sum k_r N_r(mu) over the distinct entries r,
+    where k_r = #{gamma = r} - #{delta = r} and N_m counts the hooks
+    divisible by m. All counts come from one call of the bead kernel, so
+    no hook of mu is listed.
     """
-    counts = divisible_hook_counts(mu, params.gammas + params.deltas)
-    return sum(counts[g] for g in params.gammas) - sum(
-        counts[d] for d in params.deltas
-    )
+    counts = divisible_hook_counts(mu, [r for r, _ in params.signed])
+    return sum(k * counts[r] for r, k in params.signed)
 
 
 def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     """Exponent of the prime p in the ratio, without listing any hook.
 
     A hook h divisible by a parameter r contributes v_p(h / r), which is
-    the number of k >= 1 with r * p**k dividing h. Summed over the hooks,
-    the contribution of r is sum_{k >= 1} N_{r * p**k}(lam), where N_m
-    counts the hooks divisible by m; `littlewood._valuation` forms this
-    signed sum over the parameters, stopping once r * p**k exceeds the
+    the number of i >= 1 with r * p**i dividing h. Summed over the hooks,
+    the contribution of r is sum_{i >= 1} N_{r * p**i}(lam), where N_m
+    counts the hooks divisible by m; `littlewood._valuation` forms the sum
+    of these weighted by k_r, stopping once r * p**i exceeds the
     largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
     interval per run of lam in O(R log R) for R runs, so the cost grows
     with neither |lam| nor len(lam). The count comes straight from the
@@ -276,7 +275,7 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    return _valuation(lam, params.gammas, params.deltas, p)
+    return _valuation(lam, params.signed, p)
 
 
 def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
@@ -298,7 +297,7 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     parameters raise before any f is built, as f has no period.
     """
     M = params.modulus
-    head = max(params.gammas + params.deltas)
+    head = max(params.signed)[0]  # the largest entry
     f = _f_upto(params, head + 1)
     least = 0  # f(0)
     for s in range(0, 2 * M - 1):
@@ -360,13 +359,11 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     its cost (fact 8); see there for why this equals the search over every
     partition and why only the live coordinates (fact 6) can move.
     """
-    M, slope = params.modulus, _reciprocal_excess(params.gammas, params.deltas)
+    M, slope = params.modulus, params.excess
     top = 2 * limit
     live = [j for j in range(M) if j < limit or j >= M - limit]
     n = len(live)
-    weight = Counter(params.deltas)
-    weight.subtract(params.gammas)
-    terms = [(w * (M // r), r, [0] * r) for r, w in weight.items() if r > 1 and w]
+    terms = [(-k * (M // r), r, [0] * r) for r, k in params.signed if r > 1]
     # live coordinate j moves residue j mod r of each r-charge vector
     updates = [[(w, r, j % r, S) for w, r, S in terms] for j in live]
     rest = _rest_costs(M, live, top)
@@ -425,7 +422,7 @@ def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:
     """
     cap = max_enumeration_size()
     limit = min(size_bound, cap)
-    M, slope = params.modulus, _reciprocal_excess(params.gammas, params.deltas)
+    M, slope = params.modulus, params.excess
     # deepen 1, 2, 4, ..., but go straight to the walk limit once doubling
     # again would reach or pass it: the walk to the limit repeats the answer
     # of any walk beyond half of it at little more cost. The empty
@@ -541,7 +538,7 @@ def _multinomial_margin(lam: Partition, s: int, t: int) -> tuple[int, bool]:
         raise ValueError("s and t must be positive")
     counts = divisible_hook_counts(lam, (s, s * t))
     margin = counts[s] - t * counts[s * t]
-    exps = _vector_ratio_exponents(lam, (s,), (s * t,) * t)
+    exps = _vector_ratio_exponents(lam, _signed((s,), (s * t,) * t))
     return margin, margin >= 0 and all(e >= 0 for e in exps.values())
 
 
@@ -555,7 +552,7 @@ def check_divisor_family(lam: Partition, x: int, deltas: Sequence[int]) -> bool:
         raise ValueError(f"{x} does not divide {bad}")
     if _reciprocal_excess((x,), deltas):
         raise ValueError(f"1/{x} != sum of reciprocals of {deltas}")
-    exps = _vector_ratio_exponents(lam, (x,), deltas)
+    exps = _vector_ratio_exponents(lam, _signed((x,), deltas))
     return all(e >= 0 for e in exps.values())
 
 
@@ -611,26 +608,22 @@ def _certified_by_flow(params: RatioParams) -> bool:
     """True when the divisibility network of fact 7 in the module
     docstring saturates every delta edge, which proves the ratio integral.
 
-    Entries of equal value share one node with their capacities added, and
-    since the sides are disjoint each node is keyed by its entry, beside
-    the source 0 and the sink -1. The residual network holds, per node,
+    Each distinct entry r is one node, keyed by r beside the source 0 and
+    the sink -1, with the supply k_r M / r when k_r > 0 and the demand
+    -k_r M / r when k_r < 0. The residual network holds, per node,
     only the arcs that exist: source -> gamma, gamma -> delta where gamma
     divides delta, delta -> sink, and the reverse of each. Edmonds-Karp
     augments along shortest residual paths, so the number of augmentations
     is bounded by the size of the network, not by M, and each search walks
     those arcs only.
     """
+    M = params.modulus
+    supply = {r: k * (M // r) for r, k in params.signed if k > 0}
+    demand = {r: -k * (M // r) for r, k in params.signed if k < 0}
     # a delta that no gamma divides receives nothing; most failing pairs
     # stop here, before the network is built
-    if not all(any(d % g == 0 for g in params.gammas) for d in params.deltas):
+    if not all(any(d % g == 0 for g in supply) for d in demand):
         return False
-    M = params.modulus
-    supply: dict[int, int] = {}
-    demand: dict[int, int] = {}
-    for g in params.gammas:
-        supply[g] = supply.get(g, 0) + M // g
-    for d in params.deltas:
-        demand[d] = demand.get(d, 0) + M // d
     source, sink = 0, -1
     # the source's arcs are the supplies, read as such only until the
     # first augmentation

@@ -295,28 +295,26 @@ def hook_count_divisible(lam: Partition, r: int) -> int:
     return divisible_hook_counts(lam, (r,))[r]
 
 
-def _valuation(
-    lam: Partition, gammas: Sequence[int], deltas: Sequence[int], p: int
-) -> int:
-    """The sum over r in gammas of sum_{k >= 1} N_{r * p**k}(lam), less the
-    same sum over deltas, where N_m counts the hooks divisible by m.
+def _valuation(lam: Partition, signed: Sequence[tuple[int, int]], p: int) -> int:
+    """sum_r k_r sum_{i >= 1} N_{r * p**i}(lam) over the pairs (r, k_r) of
+    signed, where N_m counts the hooks divisible by m.
 
     A hook h divisible by r contributes v_p(h / r) to the inner sum, the
-    number of k >= 1 with r * p**k dividing h, so at a prime p this is the
-    exponent of p in the product of the hooks divided by the parameters.
-    The terms stop once r * p**k exceeds the largest hook, and all counts
-    come from one call of the bead kernel on the beads read for that hook.
+    number of i >= 1 with r * p**i dividing h, so at a prime p this is the
+    exponent of p in prod_r H_r(lam)^{k_r}, H_r the product of the hooks
+    divisible by r, each divided by r. The terms stop once r * p**i
+    exceeds the largest hook, and all counts come from one call of the
+    bead kernel on the beads read for that hook.
     """
     beads = _beads(lam)
     terms: list[tuple[int, int]] = []
-    for divisors, sign in ((gammas, 1), (deltas, -1)):
-        for r in divisors:
-            m = r * p
-            while m <= beads[2]:
-                terms.append((sign, m))
-                m *= p
+    for r, k in signed:
+        m = r * p
+        while m <= beads[2]:
+            terms.append((k, m))
+            m *= p
     counts = _hook_counts(beads, (m for _, m in terms))
-    return sum(sign * counts[m] for sign, m in terms)
+    return sum(k * counts[m] for k, m in terms)
 
 
 def valuation_hook_product(lam: Partition, p: int) -> int:
@@ -331,7 +329,7 @@ def valuation_hook_product(lam: Partition, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"valuation requires a prime modulus, got {p}")
-    return _valuation(lam, (1,), (), p)
+    return _valuation(lam, ((1, 1),), p)
 
 
 def cells_with_exact_valuation(lam: Partition, p: int, d: int) -> int:

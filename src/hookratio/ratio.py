@@ -15,10 +15,11 @@ arguments only.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, eq, sub
+from operator import add, eq
 
 from ._record import record
 
@@ -34,17 +35,21 @@ class RatioParams:
 
     No entry may appear on both sides (a shared entry would cancel from the
     ratio identically; use :meth:`normalized` to cancel first). Height is
-    the excess of denominator factors, L - K. Balance, sum 1/gamma_k =
-    sum 1/delta_l, is decided once, in integers: with M the lcm of all
-    entries it is the same identity multiplied by M, sum M // gamma_k =
-    sum M // delta_l, where every quotient is exact. No decision path here
-    touches floating point.
+    the excess of denominator factors, L - K. The ratio is prod_r
+    H_r^{k_r} over the distinct entries r, H_r the restricted hook product
+    and k_r = #{gamma = r} - #{delta = r}, and every kernel reads the pair
+    through three read-only attributes set once here:
+    - `signed`: the pairs (r, k_r), in order of first appearance, gammas
+      first;
+    - `modulus`: M, the lcm of all entries;
+    - `excess`: m = sum k_r M / r, which is sum 1/gamma - sum 1/delta
+      times M in integers (every quotient is exact), so balance is m = 0.
+    They are no fields: they take no part in equality, hashing or the repr.
+    No decision path here touches floating point.
     """
 
     gammas: tuple[int, ...]
     deltas: tuple[int, ...]
-    # _modulus and _balanced, set by __post_init__ and not annotated, are
-    # no fields: they take no part in equality, hashing or the repr
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
@@ -59,9 +64,10 @@ class RatioParams:
                 f"gammas and deltas must be disjoint, both contain {sorted(shared)}"
             )
         M = lcm(*self.gammas, *self.deltas)
-        excess = sum(M // g for g in self.gammas) - sum(M // d for d in self.deltas)
-        object.__setattr__(self, "_modulus", M)
-        object.__setattr__(self, "_balanced", excess == 0)
+        signed = _signed(self.gammas, self.deltas)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "modulus", M)
+        object.__setattr__(self, "excess", sum(k * (M // r) for r, k in signed))
 
     @classmethod
     def normalized(cls, gammas, deltas) -> "RatioParams":
@@ -88,20 +94,22 @@ class RatioParams:
         return self.L - self.K
 
     @property
-    def modulus(self) -> int:
-        """M, the lcm of all entries, computed once in __post_init__."""
-        return self._modulus
-
-    @property
     def is_balanced(self) -> bool:
-        # computed once in __post_init__; a property, so that it stays
-        # read-only and tracers can wrap its getter
-        return self._balanced
+        # a property, so that tracers can wrap its getter
+        return self.excess == 0
 
     def __str__(self) -> str:
         g = ",".join(map(str, self.gammas))
         d = ",".join(map(str, self.deltas))
         return f"(({g}),({d}))"
+
+
+def _signed(gammas, deltas) -> tuple[tuple[int, int], ...]:
+    """(r, #{gamma = r} - #{delta = r}) for every entry r where that is not
+    0, in order of first appearance, gammas first."""
+    k = Counter(gammas)
+    k.subtract(deltas)
+    return tuple((r, n) for r, n in k.items() if n)
 
 
 def _reciprocal_excess(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -113,17 +121,16 @@ def _reciprocal_excess(left: tuple[int, ...], right: tuple[int, ...]) -> int:
 
 
 def f_value(x: int, params: RatioParams) -> int:
-    """sum floor(x / gamma_k) - sum floor(x / delta_l)."""
-    return sum(x // g for g in params.gammas) - sum(x // d for d in params.deltas)
+    """sum floor(x / gamma_k) - sum floor(x / delta_l), which is
+    sum k_r floor(x / r)."""
+    return sum(k * (x // r) for r, k in params.signed)
 
 
 def g_value(y: int, params: RatioParams) -> int:
     """Signed count of parameters dividing y; prefix sums give f."""
     if y < 1:
         raise ValueError(f"g is defined on positive integers, got {y}")
-    return sum(1 for g in params.gammas if y % g == 0) - sum(
-        1 for d in params.deltas if y % d == 0
-    )
+    return sum(k for r, k in params.signed if y % r == 0)
 
 
 @record
@@ -154,17 +161,15 @@ class FTable:
 
 def _f_upto(params: RatioParams, n: int) -> tuple[int, ...]:
     """f on [0, n) for balanced parameters, as the prefix sums of its steps
-    g(y) = #{gamma | y} - #{delta | y}: each parameter r adds its sign at
-    the multiples of r in one slice pass, so this costs O(n + sum n / r)."""
+    g(y) = sum k_r [r | y]: each distinct entry r adds k_r at the multiples
+    of r in one slice pass, so this costs O(n + sum n / r)."""
     if not params.is_balanced:
         raise ValueError(
             f"parameters {params} are not balanced; the period is undefined"
         )
     steps = [0] * n  # g(y) at y in [1, n); f(0) = 0
-    for r in params.gammas:
-        steps[r::r] = map(add, steps[r::r], repeat(1))
-    for r in params.deltas:
-        steps[r::r] = map(sub, steps[r::r], repeat(1))
+    for r, k in params.signed:
+        steps[r::r] = map(add, steps[r::r], repeat(k))
     return tuple(accumulate(steps))
 
 
@@ -177,16 +182,16 @@ def build_ftable(params: RatioParams) -> FTable:
     `_f_upto`, in O(M + sum M / r).
 
     Balance makes M a period: f(x + M) - f(x) = sum M/gamma - sum M/delta.
-    No P | M below it is one. Set w_r = #{gamma = r} - #{delta = r}, which
-    is nonzero at every entry r since the sides are disjoint.
-    - g(y) = f(y) - f(y-1) = sum_r w_r [r | y] is G(gcd(y, M)) for some G,
+    No P | M below it is one. k_r = #{gamma = r} - #{delta = r} is nonzero
+    at every entry r, since the sides are disjoint.
+    - g(y) = f(y) - f(y-1) = sum_r k_r [r | y] is G(gcd(y, M)) for some G,
       and is P-periodic when f is.
     - Some y + tP has gcd(y + tP, M) = gcd(y, P) (pick t mod each prime of
       M, then the CRT), so G(d) = G(gcd(d, P)) for d | M.
-    - Moebius inversion gives w_r = sum_{d | r} mu(r/d) G(gcd(d, P)).
+    - Moebius inversion gives k_r = sum_{d | r} mu(r/d) G(gcd(d, P)).
     - If r does not divide P, take a prime q with v_q(r) > v_q(P). The
       nonzero terms pair d with dq: opposite mu, and equal gcd with P as
-      v_q(d) >= v_q(r) - 1 >= v_q(P). So w_r = 0, a contradiction.
+      v_q(d) >= v_q(r) - 1 >= v_q(P). So k_r = 0, a contradiction.
     So every entry divides P, and P = M.
 
     Raises for unbalanced parameters, where f is unbounded and has no

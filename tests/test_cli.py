@@ -376,6 +376,19 @@ class TestErrors:
         code, _, err = invoke(capsys, "tower", "--partition", "3,1", "--p", "0")
         assert code == 64 and "modulus" in err
 
+    def test_memory_error_is_one_line_and_exit_64(self, capsys, monkeypatch):
+        # a shape too large to expand raises MemoryError; it must not exit
+        # 1, the Fails code, with a traceback
+        def exhausted(lam, p):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "decompose", exhausted)
+        code, out, err = invoke(
+            capsys, "decompose", "--partition", "1^1000000000000", "--p", "2"
+        )
+        assert (code, out) == (64, "")
+        assert err == "hookratio: error: out of memory\n"
+
     def test_seed_flag_accepted(self, capsys):
         code, out, _ = invoke(
             capsys, "--seed", "17", "hooks", "--partition", "2,1"

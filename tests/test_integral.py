@@ -221,8 +221,14 @@ class TestHookShapeScan:
         # the hit (1, 7) lies on diagonal 8, the last below the largest
         # entry 9, so f is read from its prefix alone and no table is built
         # or looked up; the hit (6, 9) lies on diagonal 15, past the largest
-        # entry 12, and the scan reads the table once
-        [((2,), (6, 9, 9, 9), 0), ((1, 12), (2, 3, 8, 8), 1)],
+        # entry 12, and the scan reads the table once. The head is the
+        # largest entry wherever it stands: 9 in the last pair, not its
+        # last delta 6
+        [
+            ((2,), (6, 9, 9, 9), 0),
+            ((1, 12), (2, 3, 8, 8), 1),
+            ((2,), (9, 9, 6, 9), 0),
+        ],
     )
     def test_reads_the_table_only_past_the_head(self, gammas, deltas, reads):
         params = RatioParams(gammas, deltas)
@@ -740,6 +746,7 @@ class TestValuationDecomposition:
 
 
 class TestMultinomial:
+    # t = 1 cancels s against st = s, which leaves no entry at all
     @pytest.mark.parametrize("s,t", [(1, 2), (2, 2), (3, 1), (1, 1), (2, 3)])
     def test_small_grid(self, s, t, partitions_by_size):
         for n in range(9):
@@ -753,7 +760,8 @@ class TestMultinomial:
 
 class TestDivisorFamily:
     @pytest.mark.parametrize(
-        "x,deltas", [(3, (6, 6)), (2, (4, 8, 8)), (2, (6, 6, 6))]
+        # (3, (3,)) cancels to no entry at all
+        "x,deltas", [(3, (6, 6)), (2, (4, 8, 8)), (2, (6, 6, 6)), (3, (3,))]
     )
     def test_holds_on_instances(self, x, deltas, partitions_by_size):
         for n in range(9):

@@ -28,6 +28,7 @@ from conftest import (
     oracle_factorize,
     oracle_ftable,
     random_balanced_pairs,
+    unbalanced_parameter_grid,
 )
 
 CHEBYSHEV = RatioParams((30, 1), (2, 3, 5))
@@ -92,6 +93,32 @@ class TestRatioParams:
         assert p == q and hash(p) == hash(q)
         assert repr(p) == "RatioParams(gammas=(2, 3), deltas=(4, 4, 6, 6))"
         assert hash(p) == hash(((2, 3), (4, 4, 6, 6)))
+        assert (p.signed, p.modulus, p.excess) == (
+            ((2, 1), (3, 1), (4, -2), (6, -2)), 12, 0
+        )
+        for name in ("signed", "modulus", "excess", "is_balanced"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+        assert (p.signed, p.modulus, p.excess) == (
+            ((2, 1), (3, 1), (4, -2), (6, -2)), 12, 0
+        )
+
+    def test_signed_merges_and_drops_cancelled_entries(self):
+        signed = ratio_module._signed
+        assert signed((1, 2, 2), (2, 2, 4, 4)) == ((1, 1), (4, -2))
+        assert signed((3,), (3,)) == signed((2, 2), (2, 2)) == ()
+        assert signed((5, 1), (2, 5, 5)) == ((5, -1), (1, 1), (2, -1))
+
+    def test_signed_and_excess_match_the_tuples(self):
+        for params in balanced_parameter_grid() + unbalanced_parameter_grid():
+            gammas, deltas = params.gammas, params.deltas
+            first_seen = dict.fromkeys(gammas + deltas)
+            assert params.signed == tuple(
+                (r, gammas.count(r) - deltas.count(r)) for r in first_seen
+            ), params
+            excess = ratio_module._reciprocal_excess(gammas, deltas)
+            assert params.excess == excess, params
+            assert params.is_balanced == (excess == 0), params
 
 
 class TestBalanceInIntegers:
