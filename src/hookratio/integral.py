@@ -126,6 +126,7 @@ Searching without balance.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -252,8 +253,13 @@ def ratio_factored(lam: Partition, params: RatioParams) -> FactoredRatio:
 def counts_signature(mu: Partition, params: RatioParams) -> int:
     """Signed hook count sum: sum k_r N_r(mu) over the distinct entries r,
     where k_r = #{gamma = r} - #{delta = r} and N_m counts the hooks
-    divisible by m. All counts come from one call of the bead kernel, so
-    no hook of mu is listed.
+    divisible by m. All counts come from `divisible_hook_counts`, so no
+    hook of mu is listed, and each is read through the memo
+    `littlewood._hook_count`, keyed by (mu.runs, r) and bounded at 4096
+    entries. The memo holds N_r, a count of the shape alone; the sum with
+    this pair's k_r is formed afresh on every call, so it is this pair's
+    signature, and the re-check that compares it with the valuation at the
+    dilation stays independent.
     """
     counts = divisible_hook_counts(mu, [r for r, _ in params.signed])
     return sum(k * counts[r] for r, k in params.signed)
@@ -269,9 +275,13 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     of these weighted by k_r, stopping once r * p**i exceeds the
     largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
     interval per run of lam in O(R log R) for R runs, so the cost grows
-    with neither |lam| nor len(lam). The count comes straight from the
-    profile of lam and never decomposes it, so it re-checks a witness
-    independently of the tower identity that built the witness.
+    with neither |lam| nor len(lam), and is read through the memo
+    `littlewood._hook_count`, keyed by (lam.runs, m) and bounded at 4096
+    entries, so a dilation that comes back costs one lookup per term. The
+    count comes straight from the profile of lam and never decomposes it,
+    so it re-checks a witness independently of the tower identity that
+    built the witness; the memo keeps only such counts of the shape, and
+    the weights k_r and the prime p of this call are applied afresh.
     """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
@@ -464,20 +474,38 @@ def find_failing_mu(
 def _inflate(mu: Partition, params: RatioParams) -> tuple[int, int, Partition]:
     """(sig, p, lam) for construct_failing_lambda, with sig the counts
     signature of mu, so that a caller re-checking lam needs no second
-    signature."""
+    signature.
+
+    sig is formed for this pair on every call; (p, lam) depend on mu alone
+    and come from `_dilation`, a memo keyed by mu and bounded at 4096
+    entries, so a witness that comes back reads its largest hook and its
+    prime once. Sharing them leaves the re-check independent: the pair's
+    own k_r weight the counts of lam, and a lam that is not mu's dilation
+    at p shows up as a valuation other than p * sig.
+    """
     sig = counts_signature(mu, params)
     if sig >= 0:
         raise ValueError(
             f"counts signature of {format_partition(mu) or '()'} is {sig}; "
             "a negative signature is required"
         )
+    return (sig, *_dilation(mu))
+
+
+# Bounded, so a long run cannot grow it without limit: the 803 failing
+# survey pairs meet only 24 distinct witnesses. lam is immutable, so
+# verdicts can share it; it is held in runs, as many as mu has, until a
+# reader lists its rows, which it then keeps while it stays here.
+@lru_cache(maxsize=4096)
+def _dilation(mu: Partition) -> tuple[int, Partition]:
+    """(p, lam): p the least prime above every hook of mu, lam = mu dilated
+    by p."""
     p = next_prime_above(largest_hook(mu))
     # compose(EMPTY, [mu] * p, p) blows every cell of mu up into a p x p
     # block: bead x of mu on the empty abacus becomes the p beads p x + j,
     # j < p, one per runner at level x, so run (v, m) of mu becomes the run
     # (p v, p m) of lam
-    lam = Partition.from_runs((p * v, p * m) for v, m in mu.runs)
-    return sig, p, lam
+    return p, Partition.from_runs((p * v, p * m) for v, m in mu.runs)
 
 
 def construct_failing_lambda(

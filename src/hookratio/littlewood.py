@@ -22,6 +22,7 @@ position below it, and its length is their distance.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -219,12 +220,13 @@ def largest_hook(lam: Partition) -> int:
     return lam.first + len(lam) - 1 if lam else 0
 
 
-def _beads(lam: Partition) -> tuple[list[tuple[int, int]], int, int]:
-    """The bead interval [a, b) of each run of lam, from the last run up,
-    n = len(lam) and the top bead lam_1 - 1 + n, the largest hook, or 0."""
+def _beads(runs: tuple[tuple[int, int], ...]):
+    """The bead interval [a, b) of each run of the partition with these
+    runs, from the last run up, n = its length and the top bead
+    lam_1 - 1 + n, the largest hook, or 0."""
     intervals = []
     n = 0  # the rows below this run, len(lam) once all are read
-    for value, mult in reversed(lam.runs):
+    for value, mult in reversed(runs):
         intervals.append((value + n, value + n + mult))
         n += mult
     return intervals, n, intervals[-1][1] - 1 if intervals else 0
@@ -252,12 +254,38 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     the last term one sweep of depth^2 times width over the sorted arc
     ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
     len(lam) are.
+
+    Each N_m with 1 <= m <= the largest hook is read through `_hook_count`,
+    a memo keyed by (lam.runs, m) and bounded at 4096 entries, so a shape
+    that comes back costs one lookup per modulus; a larger m has no hook
+    and is 0 without a lookup. The memo holds counts, which depend on the
+    shape and m alone, so a caller that sums them with its own weights
+    checks as much as one that counted afresh.
     """
-    return _hook_counts(_beads(lam), moduli)
+    runs, top = lam.runs, largest_hook(lam)
+    counts: dict[int, int] = {}
+    for m in moduli:
+        if m < 1:
+            raise ValueError(f"divisor must be >= 1, got {m}")
+        counts[m] = _hook_count(runs, m) if m <= top else 0
+    return counts
+
+
+# Bounded, so a long run cannot grow it without limit: `decide` re-verifies
+# every failing pair on its witness mu and on mu's dilation, and the 850
+# survey pairs meet only 24 distinct witnesses, so their counts fit many
+# times over. A miss reads the bead intervals from the runs, which come from
+# a checked Partition, and builds none.
+@lru_cache(maxsize=4096)
+def _hook_count(runs: tuple[tuple[int, int], ...], m: int) -> int:
+    """N_m of the partition with these runs, for 1 <= m <= its largest
+    hook."""
+    return _hook_counts(_beads(runs), (m,))[m]
 
 
 def _hook_counts(beads, moduli: Iterable[int]) -> dict[int, int]:
-    """`divisible_hook_counts` of the partition whose `_beads` these are."""
+    """`divisible_hook_counts` of the partition whose `_beads` these are,
+    counted afresh: the kernel behind the `_hook_count` memo."""
     intervals, n, top = beads
     counts: dict[int, int] = {}
     for m in moduli:
@@ -303,18 +331,21 @@ def _valuation(lam: Partition, signed: Sequence[tuple[int, int]], p: int) -> int
     number of i >= 1 with r * p**i dividing h, so at a prime p this is the
     exponent of p in prod_r H_r(lam)^{k_r}, H_r the product of the hooks
     divisible by r, each divided by r. The terms stop once r * p**i
-    exceeds the largest hook, and all counts come from one call of the
-    bead kernel on the beads read for that hook.
+    exceeds the largest hook, and each N_m is read through the
+    `_hook_count` memo (keyed by (lam.runs, m), bounded at 4096 entries),
+    so a shape that comes back costs one lookup per term. The memo holds
+    counts of the shape alone; the weights k_r and the prime p are the
+    caller's, summed afresh on every call, so a wrong k_r or p still gives
+    a wrong sum.
     """
-    beads = _beads(lam)
-    terms: list[tuple[int, int]] = []
+    runs, top = lam.runs, largest_hook(lam)
+    total = 0
     for r, k in signed:
         m = r * p
-        while m <= beads[2]:
-            terms.append((k, m))
+        while m <= top:
+            total += k * _hook_count(runs, m)
             m *= p
-    counts = _hook_counts(beads, (m for _, m in terms))
-    return sum(k * counts[m] for k, m in terms)
+    return total
 
 
 def valuation_hook_product(lam: Partition, p: int) -> int:

@@ -51,7 +51,10 @@ from conftest import (
     source_env,
     unbalanced_parameter_grid,
 )
-from hookratio.partition import MAX_SIZE_ENV_VAR
+from hookratio.integral import _dilation
+from hookratio.littlewood import _hook_count
+from hookratio.partition import MAX_SIZE_ENV_VAR, _hook_values
+from hookratio.primes import factorize
 
 SPORADIC = RatioParams((1, 30), (2, 3, 5))
 # outside the divisibility flow, so decide reaches the M-core walk (M = 10):
@@ -663,6 +666,12 @@ class TestConstructFailingLambda:
                 checked += 1
         assert checked >= 50
 
+    def test_dilation_memo_keeps_shapes_of_one_size_apart(self, partitions_by_size):
+        # all 22 shapes of size 8 through one warm memo: shapes of one size
+        # share no entry, so each keeps its own prime and dilation
+        for mu in partitions_by_size[8]:
+            assert _dilation(mu) == _dilation.__wrapped__(mu), mu.runs
+
     def test_exponent_is_p_times_signature(self, balanced_grid):
         rng = random.Random(11)
         checked = 0
@@ -821,6 +830,25 @@ class TestDecide:
         verdict = decide(RatioParams((2, 3), (4, 4, 6, 6)), 10)
         assert verdict.status == STATUS_INTEGRAL and verdict.bound is None
         assert verdict.to_json_dict()["bound"] is None
+
+    def test_memos_are_invisible(self, balanced_grid, survey_grid):
+        # warm memos in one order give the verdicts that cold ones, cleared
+        # before every call, give in the other
+        pairs = balanced_grid + survey_grid
+        memos = (_hook_count, _dilation, build_ftable, factorize, _hook_values)
+
+        def fields(verdict):
+            w = verdict.witness
+            return (verdict.status, w and (w.mu, w.p, w.lam), verdict.valuation_at_p)
+
+        warm = [fields(decide(params, 16)) for params in pairs]
+        cold = []
+        for params in reversed(pairs):
+            for memo in memos:
+                memo.cache_clear()
+            cold.append(fields(decide(params, 16)))
+        assert warm == cold[::-1]
+        assert sum(status == STATUS_FAILS for status, _, _ in warm) > len(pairs) // 2
 
     @pytest.mark.parametrize("params, bound", [(SPORADIC, 30), (WALKED, 6)])
     def test_fails_computes_the_signature_once(self, monkeypatch, params, bound):

@@ -21,7 +21,13 @@ from hookratio import (
     restricted_hooks,
     valuation_hook_product,
 )
-from hookratio.littlewood import divisible_hook_counts
+from hookratio.littlewood import (
+    _beads,
+    _hook_count,
+    _hook_counts,
+    divisible_hook_counts,
+    largest_hook,
+)
 
 from conftest import (
     oracle_decompose,
@@ -403,6 +409,45 @@ class TestHookCounts:
                     for q in decompose(lam, p).quotients:
                         union.update(hook_multiset(q))
                     assert union == restricted_hooks(lam, p)
+
+
+class TestHookCountMemo:
+    # the shapes of the tower and extract-mu benchmark operations
+    TOWER_SHAPES = (
+        "100^80", "66^55", "436^29,29^406", "1586^61,61^2074", "5350^107,107^5885",
+    )
+
+    def test_matches_the_uncached_kernel(self, partitions_by_size):
+        shapes = [lam for n in range(13) for lam in partitions_by_size[n]]
+        shapes += [parse_partition(text) for text in self.TOWER_SHAPES]
+        for lam in shapes:
+            top = largest_hook(lam)
+            moduli = range(1, top + 3)  # m = 1 and two moduli above every hook
+            fresh = _hook_counts(_beads(lam.runs), moduli)
+            # the first pass fills the memo, the second reads it
+            for _ in range(2):
+                assert divisible_hook_counts(lam, moduli) == fresh, lam.runs
+            for m in range(1, top + 1):
+                assert _hook_count(lam.runs, m) == fresh[m], (lam.runs, m)
+
+    def test_zero_modulus_still_raises_with_a_warm_memo(self):
+        lam = Partition((6, 4, 2))
+        divisible_hook_counts(lam, range(1, 11))
+        for moduli in ((0,), (1, 0), (-3,)):
+            with pytest.raises(ValueError, match="divisor must be >= 1"):
+                divisible_hook_counts(lam, moduli)
+        with pytest.raises(ValueError, match="divisor must be >= 1"):
+            hook_count_divisible(lam, 0)
+
+    def test_stores_no_count_above_the_largest_hook(self):
+        # a modulus above every hook is answered 0 without a lookup
+        _hook_count.cache_clear()
+        assert divisible_hook_counts(Partition((6, 4, 2)), (9, 10, 80)) == {
+            9: 0, 10: 0, 80: 0,
+        }
+        assert divisible_hook_counts(Partition(), (1, 2)) == {1: 0, 2: 0}
+        info = _hook_count.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestValuations:
