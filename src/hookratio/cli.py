@@ -2,7 +2,8 @@
 
 One verb per operation, deterministic output, machine readable with
 ``--json``. Exit codes follow the verdict convention: 0 integral or
-success, 1 a failing witness was found, 2 inconclusive, 64 bad input.
+success, 1 a failing witness was found, 2 inconclusive, 64 bad input
+or a fault of the program.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import gcd
 
 from . import __version__
 from .height1 import (
-    Height1ContradictionError,
     decide_height1,
     period_sets,
     sumset,
@@ -43,7 +43,13 @@ from .partition import (
     render_hook_diagram,
     to_boundary,
 )
-from .ratio import RatioParams, bober_families, build_ftable, phi_bijection
+from .ratio import (
+    InvariantError,
+    RatioParams,
+    bober_families,
+    build_ftable,
+    phi_bijection,
+)
 
 EXIT_INPUT_ERROR = 64
 
@@ -66,10 +72,6 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, msg)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     # a blank list is empty, but an empty token is malformed, as in a
     # partition literal
@@ -80,7 +82,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _params_from_file(path: str) -> RatioParams:
-    gammas = deltas = None
+    values: dict[str, tuple[int, ...]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -91,17 +93,16 @@ def _params_from_file(path: str) -> RatioParams:
                 if not sep:
                     raise CliInputError(f"malformed parameter line {line!r}")
                 key = key.strip().lower()
-                if key == "gamma":
-                    gammas = _int_list(rest)
-                elif key == "delta":
-                    deltas = _int_list(rest)
-                else:
+                if key not in ("gamma", "delta"):
                     raise CliInputError(f"unknown parameter key {key!r}")
+                if key in values:
+                    raise CliInputError(f"repeated parameter key {key!r}")
+                values[key] = _int_list(rest)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
-    if gammas is None or deltas is None:
+    if len(values) < 2:
         raise CliInputError(f"{path} must define both gamma: and delta: lines")
-    return RatioParams(gammas, deltas)
+    return RatioParams(values["gamma"], values["delta"])
 
 
 def _params_arg(args) -> RatioParams:
@@ -482,7 +483,7 @@ def run(argv: list[str]) -> int:
     try:
         code, payload, text = args.handler(args)
         if args.json:
-            _emit(payload)
+            print(json.dumps(payload, indent=2))
         else:
             for line in text():
                 print(line)
@@ -492,7 +493,10 @@ def run(argv: list[str]) -> int:
         # height, unbalanced parameters) are input errors to the shell
         print(f"hookratio: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except Height1ContradictionError as exc:
+    except InvariantError as exc:
+        # a fault of the program, such as a witness that does not re-verify
+        # or a contradicted height 1 classification: exit 1 would read as
+        # Fails
         print(f"diagnostic: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError:

@@ -90,10 +90,6 @@ def _rotate(mask: int, g: int, P: int) -> int:
     return ((mask << g) | (mask >> (P - g))) & full if g else mask
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(_elements(mask))
-
-
 def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
     """Full report on A + B inside Z/P, elements reduced mod P."""
     if P < 1:
@@ -116,7 +112,7 @@ def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
     lhs = s_mask.bit_count()
     rhs = a_stab.bit_count() + b_stab.bit_count() - stab_mask.bit_count()
     return SumsetReport(
-        P, _mask_to_set(s_mask), _mask_to_set(stab_mask), lhs, rhs
+        P, frozenset(_elements(s_mask)), frozenset(_elements(stab_mask)), lhs, rhs
     )
 
 

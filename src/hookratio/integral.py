@@ -258,8 +258,8 @@ def counts_signature(mu: Partition, params: RatioParams) -> int:
     `littlewood._hook_count`, keyed by (mu.runs, r) and bounded at 4096
     entries. The memo holds N_r, a count of the shape alone; the sum with
     this pair's k_r is formed afresh on every call, so it is this pair's
-    signature, and the re-check that compares it with the valuation at the
-    dilation stays independent.
+    signature, and the re-check in `_verified_fails` that compares it with
+    the valuation at the dilation stays independent.
     """
     counts = divisible_hook_counts(mu, [r for r, _ in params.signed])
     return sum(k * counts[r] for r, k in params.signed)
@@ -471,35 +471,14 @@ def find_failing_mu(
     return _least_failing_mu(params, size_bound)
 
 
-def _inflate(mu: Partition, params: RatioParams) -> tuple[int, int, Partition]:
-    """(sig, p, lam) for construct_failing_lambda, with sig the counts
-    signature of mu, so that a caller re-checking lam needs no second
-    signature.
-
-    sig is formed for this pair on every call; (p, lam) depend on mu alone
-    and come from `_dilation`, a memo keyed by mu and bounded at 4096
-    entries, so a witness that comes back reads its largest hook and its
-    prime once. Sharing them leaves the re-check independent: the pair's
-    own k_r weight the counts of lam, and a lam that is not mu's dilation
-    at p shows up as a valuation other than p * sig.
-    """
-    sig = counts_signature(mu, params)
-    if sig >= 0:
-        raise ValueError(
-            f"counts signature of {format_partition(mu) or '()'} is {sig}; "
-            "a negative signature is required"
-        )
-    return (sig, *_dilation(mu))
-
-
 # Bounded, so a long run cannot grow it without limit: the 803 failing
 # survey pairs meet only 24 distinct witnesses. lam is immutable, so
 # verdicts can share it; it is held in runs, as many as mu has, until a
 # reader lists its rows, which it then keeps while it stays here.
 @lru_cache(maxsize=4096)
 def _dilation(mu: Partition) -> tuple[int, Partition]:
-    """(p, lam): p the least prime above every hook of mu, lam = mu dilated
-    by p."""
+    """(p, lam) for `_verified_fails`: p the least prime above every hook
+    of mu, lam = mu dilated by p."""
     p = next_prime_above(largest_hook(mu))
     # compose(EMPTY, [mu] * p, p) blows every cell of mu up into a p x p
     # block: bead x of mu on the empty abacus becomes the p beads p x + j,
@@ -518,10 +497,13 @@ def construct_failing_lambda(
     hook of mu stays below p, so mu is a p-core and the tower below depth 1
     is trivial; the valuation of the ratio at p is exactly
     p * counts_signature(mu), which is negative. lam is mu dilated by p,
-    held in runs: as many runs as mu, however many rows.
+    held in runs: as many runs as mu, however many rows. It is re-checked
+    as every witness of `decide` is: a signature that is not negative
+    raises ValueError, and a valuation at lam other than p times it raises
+    InvariantError.
     """
-    _, p, lam = _inflate(mu, params)
-    return p, lam
+    w = _verified_fails(params, mu, None).witness
+    return w.p, w.lam
 
 
 def extract_failing_mu(lam: Partition, params: RatioParams, p: int) -> Partition:
@@ -689,7 +671,23 @@ def _certified_by_flow(params: RatioParams) -> bool:
 
 
 def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Verdict:
-    sig, p, lam = _inflate(mu, params)
+    """The Fails verdict of this pair at the witness mu, re-checked.
+
+    sig, the counts signature of mu, is formed for this pair on every call
+    and must be negative. (p, lam) depend on mu alone and come from
+    `_dilation`, a memo keyed by mu and bounded at 4096 entries, so a
+    witness that comes back reads its largest hook and its prime once.
+    Sharing them leaves the re-check independent: the pair's own k_r weight
+    the counts of lam, and a lam that is not mu's dilation at p shows up as
+    a valuation other than p * sig, which raises InvariantError.
+    """
+    sig = counts_signature(mu, params)
+    if sig >= 0:
+        raise ValueError(
+            f"counts signature of {format_partition(mu) or '()'} is {sig}; "
+            "a negative signature is required"
+        )
+    p, lam = _dilation(mu)
     vp = ratio_valuation(lam, params, p)
     expected = p * sig
     if vp != expected or vp >= 0:

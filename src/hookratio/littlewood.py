@@ -220,18 +220,6 @@ def largest_hook(lam: Partition) -> int:
     return lam.first + len(lam) - 1 if lam else 0
 
 
-def _beads(runs: tuple[tuple[int, int], ...]):
-    """The bead interval [a, b) of each run of the partition with these
-    runs, from the last run up, n = its length and the top bead
-    lam_1 - 1 + n, the largest hook, or 0."""
-    intervals = []
-    n = 0  # the rows below this run, len(lam) once all are read
-    for value, mult in reversed(runs):
-        intervals.append((value + n, value + n + mult))
-        n += mult
-    return intervals, n, intervals[-1][1] - 1 if intervals else 0
-
-
 def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, int]:
     """N_m, the number of hooks of lam divisible by m, for each modulus m.
 
@@ -255,12 +243,13 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
     len(lam) are.
 
-    Each N_m with 1 <= m <= the largest hook is read through `_hook_count`,
-    a memo keyed by (lam.runs, m) and bounded at 4096 entries, so a shape
-    that comes back costs one lookup per modulus; a larger m has no hook
-    and is 0 without a lookup. The memo holds counts, which depend on the
-    shape and m alone, so a caller that sums them with its own weights
-    checks as much as one that counted afresh.
+    The kernel is `_hook_count`, whose domain is 1 <= m <= the largest
+    hook; each such N_m is read through its memo, keyed by (lam.runs, m)
+    and bounded at 4096 entries, so a shape that comes back costs one
+    lookup per modulus; a larger m has no hook and is 0 without a lookup.
+    The memo holds counts, which depend on the shape and m alone, so a
+    caller that sums them with its own weights checks as much as one that
+    counted afresh.
     """
     runs, top = lam.runs, largest_hook(lam)
     counts: dict[int, int] = {}
@@ -279,43 +268,30 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
 @lru_cache(maxsize=4096)
 def _hook_count(runs: tuple[tuple[int, int], ...], m: int) -> int:
     """N_m of the partition with these runs, for 1 <= m <= its largest
-    hook."""
-    return _hook_counts(_beads(runs), (m,))[m]
-
-
-def _hook_counts(beads, moduli: Iterable[int]) -> dict[int, int]:
-    """`divisible_hook_counts` of the partition whose `_beads` these are,
-    counted afresh: the kernel behind the `_hook_count` memo."""
-    intervals, n, top = beads
-    counts: dict[int, int] = {}
-    for m in moduli:
-        if m < 1:
-            raise ValueError(f"divisor must be >= 1, got {m}")
-        if m in counts:
-            continue
-        if m > top:
-            counts[m] = 0
-            continue
-        floors = full = 0
-        ends: list[int] = []  # 2 * runner, plus 1 where an arc starts
-        for a, b in intervals:
-            q, u = divmod(b, m)
-            s, t = divmod(a, m)
-            floors += (m * (q * (q - 1) - s * (s - 1)) >> 1) + q * u - s * t
-            full += q - s
-            ends += (2 * t + 1, 2 * u)
-        squares = m * full * full + 2 * full * (n - m * full)
-        # A_r = depth on the runners [prev, pos); the order of the ends at
-        # one runner does not change the sum
-        ends.sort()
-        depth = prev = 0
-        for e in ends:
-            pos = e >> 1
-            squares += depth * depth * (pos - prev)
-            prev = pos
-            depth += 1 if e & 1 else -1
-        counts[m] = floors - (squares - n) // 2
-    return counts
+    hook, counted by the interval kernel of `divisible_hook_counts`: the
+    run (value, mult) with n rows below it is the bead interval
+    [value + n, value + n + mult)."""
+    floors = full = n = 0  # n: the rows below this run, len(lam) at the end
+    ends: list[int] = []  # 2 * runner, plus 1 where an arc starts
+    for value, mult in reversed(runs):
+        a = value + n
+        n += mult
+        q, u = divmod(a + mult, m)
+        s, t = divmod(a, m)
+        floors += (m * (q * (q - 1) - s * (s - 1)) >> 1) + q * u - s * t
+        full += q - s
+        ends += (2 * t + 1, 2 * u)
+    squares = m * full * full + 2 * full * (n - m * full)
+    # A_r = depth on the runners [prev, pos); the order of the ends at
+    # one runner does not change the sum
+    ends.sort()
+    depth = prev = 0
+    for e in ends:
+        pos = e >> 1
+        squares += depth * depth * (pos - prev)
+        prev = pos
+        depth += 1 if e & 1 else -1
+    return floors - (squares - n) // 2
 
 
 def hook_count_divisible(lam: Partition, r: int) -> int:

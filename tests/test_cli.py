@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import hookratio.integral as integral_module
-from hookratio import InvariantError, cli
+from hookratio import cli
 from hookratio.cli import run
 
 from conftest import source_env
@@ -174,6 +174,17 @@ class TestCheckVerb:
             assert code == 64 and out == ""
             assert "malformed integer list" in err
 
+    def test_params_file_rejects_repeated_keys(self, capsys, tmp_path):
+        for text, key in (
+            ("gamma: 1\ngamma: 2\ndelta: 2,2\n", "gamma"),
+            ("gamma: 1\ndelta: 2,2\nDelta: 1,1\n", "delta"),
+        ):
+            path = tmp_path / "params.txt"
+            path.write_text(text)
+            code, out, err = invoke(capsys, "check", "--params", str(path))
+            assert code == 64 and out == ""
+            assert f"repeated parameter key '{key}'" in err
+
     def test_has_no_workers_option(self, capsys):
         code, out, err = invoke(
             capsys, "check", "--gamma", "1,30", "--delta", "2,3,5",
@@ -233,16 +244,18 @@ class TestConstructExtractVerbs:
 
     def test_construct_rechecks_its_valuation(self, capsys, monkeypatch):
         # a valuation other than p times the signature of mu is a fault of
-        # the program and is raised, never printed
+        # the program: a diagnostic and exit 64, never a printed result
         monkeypatch.setattr(
             integral_module, "ratio_valuation", lambda lam, params, p: -1
         )
-        with pytest.raises(InvariantError, match="expected -11"):
-            run([
-                "construct-lambda", "--mu", "6^5",
-                "--gamma", "1,30", "--delta", "2,3,5",
-            ])
-        assert capsys.readouterr().out == ""
+        code, out, err = invoke(
+            capsys, "construct-lambda", "--mu", "6^5",
+            "--gamma", "1,30", "--delta", "2,3,5",
+        )
+        assert (code, out) == (64, "")
+        assert err == (
+            "diagnostic: witness 6^5 at p = 11 has valuation -1, expected -11 < 0\n"
+        )
 
     def test_construct_rejects_good_mu(self, capsys):
         code, _, err = invoke(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hookratio import Height1ContradictionError, cli
+from hookratio import Height1ContradictionError, InvariantError, cli
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -156,6 +156,18 @@ def test_height1_contradiction_keeps_its_diagnostic(monkeypatch):
     got = transcript(["height1", "--gamma", "3", "--delta", "4,12", "--json"])
     assert (got["code"], got["stdout"], got["stderr"]) == (
         64, "", "diagnostic: classification contradicted\n"
+    )
+
+
+def test_invariant_error_keeps_its_diagnostic(monkeypatch):
+    # any fault of the program exits 64, not 1, which would read as Fails
+    def fault(params, size_bound):
+        raise InvariantError("witness did not re-verify")
+
+    monkeypatch.setattr(cli, "decide", fault)
+    got = transcript(["check", "--gamma", "1,30", "--delta", "2,3,5", "--json"])
+    assert (got["code"], got["stdout"], got["stderr"]) == (
+        64, "", "diagnostic: witness did not re-verify\n"
     )
 
 

@@ -666,6 +666,15 @@ class TestConstructFailingLambda:
                 checked += 1
         assert checked >= 50
 
+    def test_rechecks_the_dilation(self, monkeypatch):
+        # a lam that is not the dilation of mu at p is caught by the
+        # valuation re-check, never returned
+        monkeypatch.setattr(
+            integral_module, "_dilation", lambda mu: (11, parse_partition("66^54"))
+        )
+        with pytest.raises(InvariantError, match="expected -11"):
+            construct_failing_lambda(RECTANGLE, SPORADIC)
+
     def test_dilation_memo_keeps_shapes_of_one_size_apart(self, partitions_by_size):
         # all 22 shapes of size 8 through one warm memo: shapes of one size
         # share no entry, so each keeps its own prime and dilation
