@@ -351,6 +351,8 @@ def _cmd_multinomial(args) -> _Result:
 
 
 def _cmd_bober_scan(args) -> _Result:
+    if args.bound < 0:
+        raise CliInputError("bound must be nonnegative")
     instances = []
     for x in range(1, args.bound + 1):
         for y in range(1, args.bound + 1):

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, lt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._record import record
 from .integral import (
     STATUS_INTEGRAL,
     Verdict,
@@ -42,8 +41,7 @@ class Height1ContradictionError(InvariantError):
     witness scan for parameters other than the canonical exception."""
 
 
-@record
-class PeriodSets:
+class PeriodSets(NamedTuple):
     """Level sets of f over one period, plus the drop set.
 
     Only defined when f takes values in {0, 1}: A0 and A1 are the residues
@@ -57,8 +55,7 @@ class PeriodSets:
     Y: frozenset[int]
 
 
-@record
-class SumsetReport:
+class SumsetReport(NamedTuple):
     """A + B over Z/P together with the stabilizer of the sumset and both
     sides of the Kneser inequality |A+B| >= |A+S| + |B+S| - |S|."""
 

@@ -128,9 +128,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from ._record import record
 from .littlewood import (
     _assemble,
     _valuation,
@@ -514,8 +513,14 @@ def extract_failing_mu(lam: Partition, params: RatioParams, p: int) -> Partition
     of the p-quotient tower of lam at depth >= 1, so a negative total
     guarantees a negative label. Labels are scanned by depth, then by the
     lexicographic order of their words, and the walk stops at the first
-    negative one.
+    negative one. A p above the largest hook divides no hook, so it is
+    rejected before the primality test, which is trial division.
     """
+    if p > largest_hook(lam):
+        raise ValueError(
+            f"p = {p} exceeds every hook of {format_partition(lam) or '()'}; "
+            "nothing to extract"
+        )
     vp = ratio_valuation(lam, params, p)
     if vp >= 0:
         raise ValueError(
@@ -566,8 +571,7 @@ def check_divisor_family(lam: Partition, x: int, deltas: Sequence[int]) -> bool:
     return all(e >= 0 for e in exps.values())
 
 
-@record
-class Witness:
+class Witness(NamedTuple):
     """A verified non-integrality certificate."""
 
     mu: Partition
@@ -582,8 +586,7 @@ class Witness:
         }
 
 
-@record
-class Verdict:
+class Verdict(NamedTuple):
     """The answer of :func:`decide` for one pair.
 
     status is one of STATUS_INTEGRAL, STATUS_FAILS and STATUS_UNKNOWN. A

@@ -23,17 +23,15 @@ position below it, and its length is their distance.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ._record import record
 from .partition import EMPTY, Partition, format_partition
 from .primes import is_prime
 
 Word = tuple[int, ...]
 
 
-@record
-class LittlewoodDecomposition:
+class LittlewoodDecomposition(NamedTuple):
     """Core, quotients and per-residue charges of one partition at p."""
 
     p: int

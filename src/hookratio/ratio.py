@@ -20,8 +20,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, eq
-
-from ._record import record
+from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
@@ -29,8 +28,12 @@ class InvariantError(RuntimeError):
     computation is wrong, not the input. Unlike assert, never stripped."""
 
 
-@record
-class RatioParams:
+class _RatioFields(NamedTuple):
+    gammas: tuple[int, ...]
+    deltas: tuple[int, ...]
+
+
+class RatioParams(_RatioFields):
     """The (gammas, deltas) pair defining a hook product ratio.
 
     No entry may appear on both sides (a shared entry would cancel from the
@@ -48,26 +51,36 @@ class RatioParams:
     No decision path here touches floating point.
     """
 
-    gammas: tuple[int, ...]
-    deltas: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(int(g) for g in self.gammas))
-        object.__setattr__(self, "deltas", tuple(int(d) for d in self.deltas))
-        if not self.gammas or not self.deltas:
+    def __new__(cls, gammas, deltas):
+        gammas = tuple(int(g) for g in gammas)
+        deltas = tuple(int(d) for d in deltas)
+        if not gammas or not deltas:
             raise ValueError("parameter vectors must be nonempty")
-        if min(self.gammas + self.deltas) < 1:
+        if min(gammas + deltas) < 1:
             raise ValueError("parameters must be positive integers")
-        shared = set(self.gammas) & set(self.deltas)
+        shared = set(gammas) & set(deltas)
         if shared:
             raise ValueError(
                 f"gammas and deltas must be disjoint, both contain {sorted(shared)}"
             )
-        M = lcm(*self.gammas, *self.deltas)
-        signed = _signed(self.gammas, self.deltas)
+        self = super().__new__(cls, gammas, deltas)
+        M = lcm(*gammas, *deltas)
+        signed = _signed(gammas, deltas)
         object.__setattr__(self, "signed", signed)
         object.__setattr__(self, "modulus", M)
         object.__setattr__(self, "excess", sum(k * (M // r) for r, k in signed))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RatioParams":
+        # the tuple's own _make, and so _replace, would skip __new__
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r}")
 
     @classmethod
     def normalized(cls, gammas, deltas) -> "RatioParams":
@@ -133,8 +146,7 @@ def g_value(y: int, params: RatioParams) -> int:
     return sum(k for r, k in params.signed if y % r == 0)
 
 
-@record
-class FTable:
+class FTable(NamedTuple):
     """f over [0, M) for balanced parameters, one least period exactly (see
     :func:`build_ftable`), with its least and greatest value, found once
     when the table is built."""

@@ -288,6 +288,19 @@ class TestConstructExtractVerbs:
         assert err.count("\n") == 1 and len(err.encode()) < 200
         assert "1586^61,61^2074" in err
 
+    def test_extract_rejects_a_prime_above_every_hook_at_once(self):
+        # 10**18 + 3 is prime; the primality test alone would take minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "hookratio", "extract-mu", "--partition", "3,1",
+             "--p", "1000000000000000003", "--gamma", "2", "--delta", "3,6"],
+            capture_output=True, text=True, timeout=30, env=source_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == (
+            "hookratio: error: p = 1000000000000000003 exceeds every hook of "
+            "3,1; nothing to extract\n"
+        )
+
 
 class TestHeight1Verb:
     def test_chebyshev_json(self, capsys):
@@ -366,6 +379,12 @@ class TestBoberScanVerb:
         assert "skipped" in by_key[(3, 1, 1)]
         assert by_key[(1, 2, 1)]["status"] == "Fails"
         assert by_key[(1, 1, 2)]["status"] == "Fails"
+
+    def test_negative_bound_is_rejected(self, capsys):
+        assert invoke(capsys, "bober-scan", "--bound", "-3") == (
+            64, "", "hookratio: error: bound must be nonnegative\n"
+        )
+        assert invoke(capsys, "bober-scan", "--bound", "0") == (0, "", "")
 
 
 class TestErrors:

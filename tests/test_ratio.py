@@ -101,9 +101,22 @@ class TestRatioParams:
         for name in ("signed", "modulus", "excess", "is_balanced"):
             with pytest.raises(AttributeError):
                 setattr(p, name, getattr(p, name))
+        for name in ("signed", "modulus", "excess"):
+            with pytest.raises(AttributeError):
+                delattr(p, name)
         assert (p.signed, p.modulus, p.excess) == (
             ((2, 1), (3, 1), (4, -2), (6, -2)), 12, 0
         )
+
+    def test_replace_runs_the_constructor(self):
+        p = RatioParams((2, 3), (4, 4, 6, 6))
+        q = p._replace(deltas=[4, 4, 6, 12, 12])
+        assert q == RatioParams((2, 3), (4, 4, 6, 12, 12))
+        assert (q.signed, q.modulus, q.excess) == (
+            ((2, 1), (3, 1), (4, -2), (6, -1), (12, -2)), 12, 0
+        )
+        with pytest.raises(ValueError, match="disjoint"):
+            p._replace(deltas=(2,))
 
     def test_signed_merges_and_drops_cancelled_entries(self):
         signed = ratio_module._signed
