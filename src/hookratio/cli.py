@@ -3,13 +3,14 @@
 One verb per operation, deterministic output, machine readable with
 ``--json``. Exit codes follow the verdict convention: 0 integral or
 success, 1 a failing witness was found, 2 inconclusive, 64 bad input
-or a fault of the program.
+or a fault of the program, 141 a reader that closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable, Iterable
 from math import gcd
@@ -52,6 +53,8 @@ from .ratio import (
 )
 
 EXIT_INPUT_ERROR = 64
+# 128 + SIGPIPE, what a shell reports for `yes | head`
+EXIT_BROKEN_PIPE = 141
 
 
 class CliInputError(ValueError):
@@ -508,7 +511,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: not a verdict,
+        # and exit 1 would read as Fails. stdout now points at devnull, so
+        # the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .integral import (
     _verified_fails,
 )
 from .partition import Partition, construct_hook_partition
-from .primes import divisors
 from .ratio import InvariantError, RatioParams, build_ftable
 
 
@@ -99,8 +98,11 @@ def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
     for b in _elements(b_mask):
         s_mask |= _rotate(a_mask, b, P)
     # {g : S + g = S} is a subgroup of Z/P, so it is dZ/P for the least
-    # divisor d of P that fixes S (d = P always does)
-    step = next(d for d in divisors(P) if _rotate(s_mask, d, P) == s_mask)
+    # d > 0 that fixes S. Shifting S by d rotates its P-digit string by d
+    # places, so d is the first shift at which that string appears again
+    # inside itself doubled; d = P when only the trivial shift fixes S
+    digits = format(s_mask, f"0{P}b")
+    step = (digits + digits).find(digits, 1)
     stab_mask = a_stab = b_stab = 0
     for g in range(0, P, step):
         stab_mask |= 1 << g

@@ -298,26 +298,30 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
 
     The pairs are visited in (a + l, a) order and the scan returns at the
     first negative signature, f(a) + f(l) < f(s) - f(s+1) with s = a + l.
-    Diagonal s reads f(a) and f(l) only on [0, min(s, M - 1)], so it holds
-    no hit, and is skipped, when its drop f(s) - f(s+1) is at most twice
-    the least f there. f is built on [0, head] only, head the largest entry
-    (<= M), where nearly all first hits lie; a scan past head reads the
-    period table, doubled to hold f up to 2M - 1 >= a + l + 1. Unbalanced
-    parameters raise before any f is built, as f has no period.
+    Diagonal s reads f(a) and f(l) only on [0, min(s, M - 1)], and f >= 0
+    there on every diagonal the scan reaches: f(0) = 0, and if x is the
+    least point with f(x) < 0 (x < M, as M is a period), diagonal x - 1
+    has the drop f(x-1) - f(x) > 0 and the hit (0, x - 1), as f(0) +
+    f(x-1) < f(x-1) - f(x), so the scan returns there or before. So a
+    diagonal whose drop is <= 0 holds no hit and is skipped. (a, s - a)
+    and (s - a, a) are conjugate hook shapes, with the same hooks and
+    signature: f(a) + f(s-a) is symmetric in a <-> s - a, and so is the
+    a-range [max(0, s - M + 1), min(s, M - 1)] about s / 2, so the least
+    hit has a <= s // 2. f is built on [0, head] only, head the
+    largest entry (<= M), where nearly all first hits lie; a scan past head
+    reads the period table, doubled to hold f up to 2M - 1 >= a + l + 1.
+    Unbalanced parameters raise before any f is built, as f has no period.
     """
     M = params.modulus
     head = max(params.signed)[0]  # the largest entry
     f = _f_upto(params, head + 1)
-    least = 0  # f(0)
     for s in range(0, 2 * M - 1):
         if s == head:
             f = build_ftable(params).values * 2
-        if s < M and f[s] < least:
-            least = f[s]
         drop = f[s] - f[s + 1]
-        if drop <= 2 * least:
+        if drop <= 0:
             continue
-        for a in range(max(0, s - M + 1), min(s, M - 1) + 1):
+        for a in range(max(0, s - M + 1), s // 2 + 1):
             if f[a] + f[s - a] < drop:
                 return (a, s - a)
     return None
@@ -394,10 +398,12 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
         j = live[i]
         lin = 2 * j - M + 1
         below = rest[i + 1]
+        # cost >= |s| and t_j(x) >= |x| (fact 5), so t >= |s + x|; as t <=
+        # budget <= top, the index top - s - x lies in [0, 2 * top]. A walk
+        # that pruned wrongly would still fail the core count check below
         for x, step in ((0, 1), (-1, -1)):
             while (t := cost + M * x * x + lin * x) <= budget:
-                k = top - s - x
-                if 0 <= k <= 2 * top and t + below[k] <= budget:
+                if t + below[top - s - x] <= budget:
                     d = 0
                     for w, r, a, S in updates[i]:
                         v = S[a]

@@ -114,9 +114,13 @@ class Partition:
     # smaller part in that row or ends. Runs that are a prefix of the
     # other's are rows that are a prefix of the other's: smaller in both.
     def __lt__(self, other: "Partition") -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.runs < other.runs
 
     def __le__(self, other: "Partition") -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.runs <= other.runs
 
     def __hash__(self) -> int:
@@ -130,12 +134,6 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         return Partition(_conjugate_parts(self.parts))
-
-    def cells(self) -> Iterator[Cell]:
-        """Cells of the Young diagram in row major order, 0-based."""
-        for i, row in enumerate(self.parts):
-            for j in range(row):
-                yield (i, j)
 
     def contains_cell(self, cell: Cell) -> bool:
         row, col = cell

@@ -49,11 +49,3 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         out.append((n, 1))
     return tuple(out)
 
-
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1 in increasing order, built from its
-    factorization."""
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)

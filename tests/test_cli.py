@@ -185,6 +185,29 @@ class TestCheckVerb:
             assert code == 64 and out == ""
             assert f"repeated parameter key '{key}'" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("# pair\n\ngamma: 1\n  \n# again\ndelta: 2,2\n", None),
+        ("gamma 1\ndelta: 2,2\n", "malformed parameter line 'gamma 1'"),
+        ("gamma: 1\nbeta: 2,2\n", "unknown parameter key 'beta'"),
+        ("gamma: 1\n", "must define both gamma: and delta: lines"),
+        (None, "cannot read"),
+    ])
+    def test_params_file_lines(self, capsys, tmp_path, text, message):
+        # comment and blank lines are skipped; a file that is missing,
+        # malformed or incomplete exits 64 with its message
+        path = tmp_path / "params.txt"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = invoke(capsys, "check", "--params", str(path), "--json")
+        if message is None:
+            expected = invoke(
+                capsys, "check", "--gamma", "1", "--delta", "2,2", "--json"
+            )
+            assert (code, out, err) == expected
+        else:
+            assert code == 64 and out == ""
+            assert message in err
+
     def test_has_no_workers_option(self, capsys):
         code, out, err = invoke(
             capsys, "check", "--gamma", "1,30", "--delta", "2,3,5",
@@ -445,6 +468,22 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "hookratio" in proc.stdout
+
+
+def test_reader_closing_stdout_early_exits_141():
+    # about 0.7 MB of hook lengths, far past a 64 KB pipe buffer: the write
+    # after the reader closes raises BrokenPipeError, which must exit as a
+    # shell reports `yes | head` (128 + SIGPIPE), without a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hookratio", "hooks", "--partition", "300^300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_import_loads_no_costly_stdlib_module():

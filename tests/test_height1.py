@@ -89,6 +89,19 @@ class TestPeriodSets:
             assert sets.P % 2 == 0
             assert sets.P - 1 in sets.Y
 
+    def test_level_sets_off_half_the_period_are_a_contradiction(
+        self, monkeypatch
+    ):
+        # f = 0 on the whole period passes the one-row check, but its level
+        # set A0 fills the period, not half of it
+        table = build_ftable(CHEBYSHEV)
+        flat = table._replace(values=(0,) * table.M, max=0)
+        monkeypatch.setattr(height1_module, "build_ftable", lambda params: flat)
+        with pytest.raises(
+            Height1ContradictionError, match="break the height 1 classification"
+        ):
+            period_sets(CHEBYSHEV)
+
 
 class TestSumset:
     def test_chebyshev_sumset_misses_only_29(self):
@@ -114,7 +127,8 @@ class TestSumset:
             sumset(set(), {1}, 5)
 
     def test_matches_brute_force_oracle(self):
-        # the stabilizer is found among the divisors of P; the oracle tries
+        # the stabilizer step is found as the first shift at which the
+        # sumset's digit string recurs in itself doubled; the oracle tries
         # every g in Z/P and builds every set by definition
         rng = random.Random(7)
         for _ in range(400):
@@ -273,6 +287,21 @@ class TestDecideHeight1:
             height1_module, "_hook_shape_scan", lambda params: None
         )
         with pytest.raises(Height1ContradictionError):
+            decide_height1(RatioParams((3,), (4, 12)))
+
+    def test_hook_witness_of_valuation_other_than_minus_p_is_a_contradiction(
+        self, monkeypatch
+    ):
+        # a re-checked witness of signature -1 has valuation -p at p; any
+        # other valuation must raise the contradiction
+        verified = height1_module._verified_fails
+
+        def doubled(params, mu, bound):
+            verdict = verified(params, mu, bound)
+            return verdict._replace(valuation_at_p=2 * verdict.valuation_at_p)
+
+        monkeypatch.setattr(height1_module, "_verified_fails", doubled)
+        with pytest.raises(Height1ContradictionError, match="other than -1"):
             decide_height1(RatioParams((3,), (4, 12)))
 
     @pytest.mark.parametrize("found", [(0, 0), (0, 1)])

@@ -18,9 +18,11 @@ from hookratio import (
     InvariantError,
     Partition,
     RatioParams,
+    bober_families,
     build_ftable,
     check_divisor_family,
     check_multinomial,
+    compose,
     construct_failing_lambda,
     counts_signature,
     decide,
@@ -30,11 +32,14 @@ from hookratio import (
     find_failing_mu,
     format_partition,
     is_p_core,
+    iter_tower_levels,
     parse_partition,
     quotient_tower,
     ratio_factored,
     ratio_valuation,
+    sumset,
 )
+from hookratio.primes import factorize
 
 from conftest import (
     WITNESS_LADDER,
@@ -928,3 +933,19 @@ class TestDecide:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compose(Partition(), [], 1), "modulus must be >= 2, got 1"),
+    (lambda: is_p_core(Partition((2, 1)), 1), "modulus must be >= 2, got 1"),
+    (lambda: next(iter_tower_levels(Partition((2, 1)), 1)),
+     "modulus must be >= 2, got 1"),
+    (lambda: sumset({0}, {0}, 0), "modulus must be positive"),
+    (lambda: check_divisor_family(Partition((2, 1)), 0, (2, 2)),
+     "x must be positive and deltas nonempty"),
+    (lambda: bober_families(0, 1), "x and y must be positive"),
+    (lambda: factorize(0), "can only factorize positive integers, got 0"),
+])
+def test_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

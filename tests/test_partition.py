@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 
 import pytest
@@ -47,6 +48,14 @@ class TestPartitionType:
         assert lam == Partition((2, 1))
         assert hash(lam) == hash(Partition((2, 1)))
         assert Partition((2, 1)) < Partition((3,))
+
+    @pytest.mark.parametrize("other", [3, None])
+    @pytest.mark.parametrize(
+        "compare", [operator.lt, operator.le, operator.gt, operator.ge]
+    )
+    def test_order_against_a_non_partition_raises_type_error(self, compare, other):
+        with pytest.raises(TypeError):
+            compare(Partition((2,)), other)
 
     def test_immutable_when_built_from_runs(self):
         lam = Partition.from_runs([(2, 1), (1, 1)])
