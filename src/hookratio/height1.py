@@ -11,27 +11,23 @@ A hook shape (arm a, leg l) has negative signature exactly when
 f(a) = f(l) = 0, f(a+l) = 1 and f(a+l+1) = 0, i.e. when a + l lands in Y
 and splits over A0 + A0; the sumset covers all but at most one residue, so
 the scan can only come up empty for the single exceptional parameter
-shape ((x), (2x, 2x)). Any other empty scan would contradict the
-classification and raises a diagnostic instead of returning a verdict.
+shape ((x), (2x, 2x)), which the divisibility flow certifies. Any other
+outcome would contradict the classification and raises a diagnostic
+instead of returning a verdict.
 
-The decision itself is the hook shape scan that the general decision
-procedure runs over the period grid; the sumset machinery is kept as an
+The decision itself is `decide`, the flow, scan and re-check that `check`
+runs, held to the classification; the sumset machinery is kept as an
 independently testable sanity layer, never as a shortcut.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, islice, repeat
-from operator import and_, eq, lt
+from operator import eq, gt, lt
 from typing import Iterable, NamedTuple
 
-from .integral import (
-    STATUS_INTEGRAL,
-    Verdict,
-    _hook_shape_scan,
-    _verified_fails,
-)
-from .partition import Partition, construct_hook_partition
+from .integral import STATUS_FAILS, STATUS_INTEGRAL, Verdict, _verified_fails, decide
+from .partition import Partition
 from .ratio import InvariantError, RatioParams, build_ftable
 
 
@@ -80,10 +76,15 @@ def _elements(mask: int) -> list[int]:
     return [i for i, d in enumerate(digits) if d == "1"]
 
 
-def _rotate(mask: int, g: int, P: int) -> int:
-    g %= P
-    full = (1 << P) - 1
-    return ((mask << g) | (mask >> (P - g))) & full if g else mask
+def _fold(mask: int, d: int) -> int:
+    """The OR of the d-bit chunks of mask: bit r is set when some element
+    of mask is r mod d."""
+    # OR the upper half of the chunks onto the lower half, a multiple of d
+    # bits wide, so each pass halves the chunks and keeps their residues
+    while mask >> d:
+        half = (-(-mask.bit_length() // d) + 1) // 2 * d
+        mask = (mask & ((1 << half) - 1)) | (mask >> half)
+    return mask
 
 
 def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
@@ -94,24 +95,23 @@ def sumset(A: Iterable[int], B: Iterable[int], P: int) -> SumsetReport:
     b_mask = _as_mask(B, P)
     if not a_mask or not b_mask:
         raise ValueError("sumsets of empty sets are not defined here")
-    s_mask = 0
+    wide = 0
     for b in _elements(b_mask):
-        s_mask |= _rotate(a_mask, b, P)
+        wide |= a_mask << b
+    # a + b < 2P, so folding the P-bit chunks reduces every sum mod P
+    s_mask = _fold(wide, P)
     # {g : S + g = S} is a subgroup of Z/P, so it is dZ/P for the least
     # d > 0 that fixes S. Shifting S by d rotates its P-digit string by d
     # places, so d is the first shift at which that string appears again
     # inside itself doubled; d = P when only the trivial shift fixes S
     digits = format(s_mask, f"0{P}b")
-    step = (digits + digits).find(digits, 1)
-    stab_mask = a_stab = b_stab = 0
-    for g in range(0, P, step):
-        stab_mask |= 1 << g
-        a_stab |= _rotate(a_mask, g, P)
-        b_stab |= _rotate(b_mask, g, P)
-    lhs = s_mask.bit_count()
-    rhs = a_stab.bit_count() + b_stab.bit_count() - stab_mask.bit_count()
+    d = (digits + digits).find(digits, 1)
+    # X + dZ/P is the union of the cosets of X's residues mod d, each of
+    # P/d elements, so |A + H| + |B + H| - |H| counts residues mod d
+    rhs = (_fold(a_mask, d).bit_count() + _fold(b_mask, d).bit_count() - 1) * (P // d)
     return SumsetReport(
-        P, frozenset(_elements(s_mask)), frozenset(_elements(stab_mask)), lhs, rhs
+        P, frozenset(_elements(s_mask)), frozenset(range(0, P, d)),
+        s_mask.bit_count(), rhs,
     )
 
 
@@ -133,10 +133,9 @@ def period_sets(params: RatioParams) -> PeriodSets:
     after = chain(islice(vals, 1, None), vals[:1])
     A0 = frozenset(compress(range(P), map(eq, vals, repeat(0))))
     A1 = frozenset(compress(range(P), map(eq, vals, repeat(1))))
-    Y = frozenset(compress(range(P), map(
-        and_, map(eq, vals, repeat(1)), map(eq, after, repeat(0))
-    )))
-    # A0 and A1 are disjoint, so two halves of the period also cover it
+    Y = frozenset(compress(range(P), map(gt, vals, after)))
+    # A0 and A1 are disjoint, so two halves of the period also cover it:
+    # f takes only the values 0 and 1, and f(y) > f(y+1) is the drop 1 -> 0
     if not len(A0) * 2 == len(A1) * 2 == P or P - 1 not in Y:
         raise Height1ContradictionError(
             f"level sets of {params} break the height 1 classification"
@@ -155,32 +154,36 @@ def decide_height1(params: RatioParams) -> Verdict:
     """Complete decision at height 1.
 
     A failing one-row check immediately yields a one-row witness. Otherwise
-    the (a, l) grid is scanned for a hook shape witness; each hit has
-    counts signature exactly -1 and is inflated to a verified failing
-    partition. An empty scan must mean the canonical exception
-    ((x), (2x, 2x)); anything else raises Height1ContradictionError.
+    the pair goes through `decide`, and its verdict is held to the
+    classification: Integral-Certified exactly for the canonical exception
+    ((x), (2x, 2x)), and otherwise Fails at a witness of counts signature
+    exactly -1. Anything else raises Height1ContradictionError.
     """
     _require_height1(params)
     table = build_ftable(params)
     if table.min < 0:
         x = next(compress(count(), map(lt, table.values, repeat(0))))
         return _verified_fails(params, Partition((x,)), None)
-    found = _hook_shape_scan(params)
-    if found is not None:
-        contradiction = Height1ContradictionError(
-            f"hook witness {found} of {params} has signature other than -1"
-        )
-        try:
-            verdict = _verified_fails(params, construct_hook_partition(*found), None)
-        except ValueError as exc:  # a signature >= 0 cannot be inflated
-            raise contradiction from exc
+    # the bound 0 searches nothing: the walk runs only after an empty scan,
+    # which the classification rules out, and at limit 0 admits only the
+    # empty partition
+    contradiction = Height1ContradictionError(
+        f"hook witness of {params} has signature other than -1"
+    )
+    try:
+        verdict = decide(params, 0)
+    except ValueError as exc:  # a scan witness of signature >= 0
+        raise contradiction from exc
+    exceptional = is_canonical_exception(params)
+    if verdict.status == STATUS_FAILS and not exceptional:
         # the re-check made the valuation p times the signature of mu
         if verdict.valuation_at_p != -verdict.witness.p:
             raise contradiction
-        return verdict
-    if is_canonical_exception(params):
-        return Verdict(params, STATUS_INTEGRAL)
-    raise Height1ContradictionError(
-        f"no hook witness for non-exceptional height 1 parameters {params}; "
-        "this contradicts the height 1 classification"
-    )
+    elif verdict.status != STATUS_INTEGRAL or not exceptional:
+        raise Height1ContradictionError(
+            f"{verdict.status} for height 1 parameters {params}; "
+            "this contradicts the height 1 classification"
+        )
+    # a height 1 verdict carries no bound: the classification, not a
+    # search up to a size, decides it
+    return verdict._replace(bound=None)

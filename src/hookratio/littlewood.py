@@ -178,17 +178,21 @@ class CoreTower(_Tower):
     """Labels: the p-core of the corresponding quotient tower label."""
 
 
-def _walk(
-    lam: Partition, p: int
-) -> Iterator[tuple[Word, Partition, LittlewoodDecomposition]]:
-    """(word, label, decomposition) for every nonempty quotient tower label,
-    by depth and then by word: breadth first, children in digit order."""
+def _walk(lam: Partition, p: int) -> Iterator[tuple[Word, Partition, Partition]]:
+    """(word, label, p-core of label) for every nonempty quotient tower
+    label, by depth and then by word: breadth first, children in digit
+    order."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     queue = [((), lam)] if lam else []
     for word, label in queue:  # the loop also reaches the children it appends
+        # a label whose hooks are all below p has no hook divisible by p:
+        # it is its own p-core, and its quotients are all empty
+        if largest_hook(label) < p:
+            yield word, label, label
+            continue
         dec = decompose(label, p)
-        yield word, label, dec
+        yield word, label, dec.core
         queue.extend((word + (j,), q) for j, q in enumerate(dec.quotients) if q)
 
 
@@ -197,7 +201,7 @@ def quotient_tower(lam: Partition, p: int) -> QuotientTower:
 
 
 def core_tower(lam: Partition, p: int) -> CoreTower:
-    return CoreTower(p, {word: dec.core for word, _, dec in _walk(lam, p)})
+    return CoreTower(p, {word: core for word, _, core in _walk(lam, p)})
 
 
 def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:

@@ -388,7 +388,7 @@ class BoundarySequence:
         for b in self.window:
             if b == 1:
                 ones += 1
-            elif ones:
+            else:  # the window is trimmed to start with a 1, so ones >= 1
                 parts.append(ones)
         return Partition(sorted(parts, reverse=True))
 

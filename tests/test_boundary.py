@@ -1,3 +1,5 @@
+import pickle
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
@@ -49,6 +51,18 @@ def test_rejects_non_binary_window():
 def test_trimming_makes_equal_sequences_equal():
     assert BoundarySequence((0, 1, 1), -1) == BoundarySequence((), 0)
     assert BoundarySequence((0, 1, 0, 1, 1), -2) == BoundarySequence((1, 0), -1)
+
+
+def test_value_semantics():
+    b = BoundarySequence((0, 1, 0, 1, 1), -2)
+    with pytest.raises(AttributeError, match="immutable"):
+        b.offset = 0
+    same = BoundarySequence((1, 0), -1)
+    assert hash(b) == hash(same)
+    assert len({b, same, BoundarySequence((1, 0), 0)}) == 2
+    assert repr(b) == "BoundarySequence('10', offset=-1)"
+    restored = pickle.loads(pickle.dumps(b))
+    assert restored == b and restored is not b
 
 
 def test_charge_of_pure_shifts():

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import hookratio.height1 as height1_module
+import hookratio.integral as integral_module
 import hookratio.partition as partition_module
 from conftest import oracle_hook_shape_scan
 from hookratio import (
@@ -16,6 +17,7 @@ from hookratio import (
     bober_families,
     build_ftable,
     counts_signature,
+    decide,
     decide_height1,
     is_canonical_exception,
     landau_one_row_check,
@@ -173,6 +175,32 @@ class TestSumset:
             assert sumset(sets.A0, sets.A0, sets.P).stabilizer == frozenset({0})
 
 
+class TestHeight1Identity:
+    def test_sumset_misses_the_stabilizer_less_one(self, balanced_grid):
+        # with the one-row check passing, f(x) + f(P-1-x) = 1 at height 1,
+        # so A1 = P-1-A0; then y is missed by A0 + A0 iff A0 - (y+1) lies
+        # in A0, that is iff y + 1 stabilizes A0. The decision on each pair
+        # is decide's, and its flow certifies exactly the exception
+        pairs = [p for p in balanced_grid if p.height == 1]
+        pairs += [params for _, params in valid_bober_images(15)]
+        pairs = [p for p in pairs if landau_one_row_check(p)]
+        assert len(pairs) == 359
+        for params in pairs:
+            sets = period_sets(params)
+            P = sets.P
+            assert sets.A1 == {P - 1 - x for x in sets.A0}
+            stabilizer = sumset(sets.A0, {0}, P).stabilizer
+            missed = frozenset(range(P)) - sumset(sets.A0, sets.A0, P).sumset
+            assert missed == {(g - 1) % P for g in stabilizer}
+            assert len(missed) == 1
+            verdict = decide_height1(params)
+            for bound in (0, 8):
+                assert verdict == decide(params, bound)._replace(bound=None)
+            assert integral_module._certified_by_flow(params) == (
+                is_canonical_exception(params)
+            )
+
+
 class TestCanonicalException:
     @pytest.mark.parametrize("x", [1, 3, 7])
     def test_positive(self, x):
@@ -240,7 +268,7 @@ class TestDecideHeight1:
 
     def test_hook_witness_matches_oracle_on_family_images(self):
         for _, params in valid_bober_images(6):
-            assert height1_module._hook_shape_scan(params) == oracle_hook_shape_scan(params)
+            assert integral_module._hook_shape_scan(params) == oracle_hook_shape_scan(params)
 
     def test_one_row_witness_is_the_least_negative_x(self, balanced_grid):
         pairs = [
@@ -284,9 +312,9 @@ class TestDecideHeight1:
         # forcing an empty scan on a non-exceptional input must raise, not
         # return a verdict
         monkeypatch.setattr(
-            height1_module, "_hook_shape_scan", lambda params: None
+            integral_module, "_hook_shape_scan", lambda params: None
         )
-        with pytest.raises(Height1ContradictionError):
+        with pytest.raises(Height1ContradictionError, match="contradicts"):
             decide_height1(RatioParams((3,), (4, 12)))
 
     def test_hook_witness_of_valuation_other_than_minus_p_is_a_contradiction(
@@ -294,13 +322,13 @@ class TestDecideHeight1:
     ):
         # a re-checked witness of signature -1 has valuation -p at p; any
         # other valuation must raise the contradiction
-        verified = height1_module._verified_fails
+        verified = integral_module._verified_fails
 
         def doubled(params, mu, bound):
             verdict = verified(params, mu, bound)
             return verdict._replace(valuation_at_p=2 * verdict.valuation_at_p)
 
-        monkeypatch.setattr(height1_module, "_verified_fails", doubled)
+        monkeypatch.setattr(integral_module, "_verified_fails", doubled)
         with pytest.raises(Height1ContradictionError, match="other than -1"):
             decide_height1(RatioParams((3,), (4, 12)))
 
@@ -316,14 +344,14 @@ class TestDecideHeight1:
             for l in (0, 1)
         )
         monkeypatch.setattr(
-            height1_module, "_hook_shape_scan", lambda params: found
+            integral_module, "_hook_shape_scan", lambda params: found
         )
-        with pytest.raises(Height1ContradictionError):
+        with pytest.raises(Height1ContradictionError, match="other than -1"):
             decide_height1(params)
 
     def test_witness_signature_is_exactly_minus_one(self):
         for _, params in valid_bober_images(4):
-            found = height1_module._hook_shape_scan(params)
+            found = integral_module._hook_shape_scan(params)
             if found is None:
                 continue
             a, l = found

@@ -105,6 +105,15 @@ class TestFactoredRatio:
         fr = FactoredRatio({7: 4})
         assert fr.exponent(7) == 4 and fr.exponent(13) == 0
 
+    def test_immutable_hashable_and_repr(self):
+        fr = FactoredRatio({3: 1, 2: -2})
+        with pytest.raises(AttributeError, match="immutable"):
+            fr.extra = 1
+        same = FactoredRatio({2: -2, 3: 1, 5: 0})
+        assert fr == same and hash(fr) == hash(same)
+        assert len({fr, same, FactoredRatio({2: -2})}) == 2
+        assert repr(fr) == "FactoredRatio({2: -2, 3: 1})"
+
 
 class TestRatioFactored:
     def test_big_golden(self):

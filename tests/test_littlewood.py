@@ -26,6 +26,7 @@ from hookratio.littlewood import (
     divisible_hook_counts,
     largest_hook,
 )
+from hookratio.primes import is_prime
 
 from conftest import (
     oracle_decompose,
@@ -294,6 +295,40 @@ class TestTowers:
         assert list(levels) == []
         assert len(calls) == 12
 
+    def test_walk_decomposes_no_label_below_p(self, monkeypatch):
+        # every depth 1 label of 66^55 at 11 is 6^5, whose hooks are all
+        # below 11: it is its own 11-core with no children, and only the
+        # root is decomposed
+        import hookratio.littlewood as littlewood_module
+
+        calls = []
+        real = littlewood_module.decompose
+
+        def counted(lam, p):
+            calls.append(lam)
+            return real(lam, p)
+
+        monkeypatch.setattr(littlewood_module, "decompose", counted)
+        lam = parse_partition("66^55")
+        tower = quotient_tower(lam, 11)
+        assert calls == [lam]
+        assert tower.support() == [()] + [(j,) for j in range(11)]
+        assert core_tower(lam, 11).to_json_dict() == {
+            "": "", **{str(j): "6^5" for j in range(11)}
+        }
+
+    def test_towers_of_different_kinds_are_unequal(self):
+        # (3,1) has no hook divisible by 5, so both towers label the root
+        # alone with (3,1); they still differ as towers
+        lam = Partition((3, 1))
+        quotients, cores = quotient_tower(lam, 5), core_tower(lam, 5)
+        assert quotients.to_json_dict() == cores.to_json_dict() == {"": "3,1"}
+        assert quotients != cores
+        assert quotients == quotient_tower(lam, 5)
+        assert quotients != quotient_tower(lam, 7)
+        assert repr(quotients) == "QuotientTower(p=5, {'': '3,1'})"
+        assert repr(cores) == "CoreTower(p=5, {'': '3,1'})"
+
     def test_serialization(self):
         # the core of the quotient label (2) is (2) itself, so the words 0
         # and 2.1 carry nonempty labels too
@@ -468,6 +503,12 @@ class TestValuations:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             valuation_hook_product(Partition((6,)), 6)
+
+    @pytest.mark.parametrize("n", [0, 1, -7])
+    def test_below_two_is_not_prime(self, n):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="prime modulus"):
+            valuation_hook_product(Partition((6,)), n)
 
     def test_against_factorization_oracle(self, partitions_by_size):
         for n in range(13):

@@ -64,6 +64,12 @@ class TestPartitionType:
         with pytest.raises(AttributeError):
             lam.size = 4
 
+    def test_iterates_its_rows_and_prints_its_literal(self):
+        lam = Partition.from_runs([(3, 2), (1, 1)])
+        assert list(lam) == [3, 3, 1]
+        assert str(lam) == "3,3,1"
+        assert list(Partition()) == [] and str(Partition()) == ""
+
     def test_conjugate(self):
         assert Partition((5, 2)).conjugate() == Partition((2, 2, 1, 1, 1))
         assert Partition().conjugate() == Partition()
