@@ -132,6 +132,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .littlewood import (
     _assemble,
+    _hook_count,
     _valuation,
     _walk,
     divisible_hook_counts,
@@ -252,16 +253,17 @@ def ratio_factored(lam: Partition, params: RatioParams) -> FactoredRatio:
 def counts_signature(mu: Partition, params: RatioParams) -> int:
     """Signed hook count sum: sum k_r N_r(mu) over the distinct entries r,
     where k_r = #{gamma = r} - #{delta = r} and N_m counts the hooks
-    divisible by m. All counts come from `divisible_hook_counts`, so no
-    hook of mu is listed, and each is read through the memo
-    `littlewood._hook_count`, keyed by (mu.runs, r) and bounded at 4096
-    entries. The memo holds N_r, a count of the shape alone; the sum with
+    divisible by m. No hook of mu is listed: an entry above the largest
+    hook divides none and adds 0, and every other N_r is read from the bead
+    intervals of mu through the memo `littlewood._hook_count`, keyed by
+    (mu.runs, r) and bounded at 4096 entries, as `_valuation` reads its
+    counts. The memo holds N_r, a count of the shape alone; the sum with
     this pair's k_r is formed afresh on every call, so it is this pair's
     signature, and the re-check in `_verified_fails` that compares it with
     the valuation at the dilation stays independent.
     """
-    counts = divisible_hook_counts(mu, [r for r, _ in params.signed])
-    return sum(k * counts[r] for r, k in params.signed)
+    runs, top = mu.runs, largest_hook(mu)
+    return sum(k * _hook_count(runs, r) for r, k in params.signed if r <= top)
 
 
 def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
@@ -311,7 +313,19 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     largest entry (<= M), where nearly all first hits lie; a scan past head
     reads the period table, doubled to hold f up to 2M - 1 >= a + l + 1.
     Unbalanced parameters raise before any f is built, as f has no period.
+
+    A least entry r that is a delta (k_r < 0) answers without any f. f = 0
+    on [0, r), as no entry is below r, so every diagonal s < r - 1 has the
+    drop 0 and is skipped. Diagonal r - 1 has the drop f(r-1) - f(r) = -k_r
+    > 0, as r is the only entry dividing r, and a = 0 gives f(0) + f(r-1)
+    = 0 < drop: the first hit is (0, r - 1), the column 1^r. It lies in the
+    grid, as r < M: the sides are disjoint, so some entry exceeds r, and M
+    is a multiple of it. An unbalanced pair takes no such answer and
+    raises in `_f_upto`.
     """
+    least, k = min(params.signed)
+    if k < 0 and params.is_balanced:
+        return (0, least - 1)
     M = params.modulus
     head = max(params.signed)[0]  # the largest entry
     f = _f_upto(params, head + 1)
@@ -635,7 +649,13 @@ def _certified_by_flow(params: RatioParams) -> bool:
     augments along shortest residual paths, so the number of augmentations
     is bounded by the size of the network, not by M, and each search walks
     those arcs only.
+
+    A least entry that is a delta is rejected before the maps are built:
+    every gamma is larger, so none divides it, and it would receive
+    nothing.
     """
+    if min(params.signed)[1] < 0:
+        return False
     M = params.modulus
     supply = {r: k * (M // r) for r, k in params.signed if k > 0}
     demand = {r: -k * (M // r) for r, k in params.signed if k < 0}

@@ -209,11 +209,19 @@ def iter_tower_levels(lam: Partition, p: int) -> Iterator[list[Partition]]:
     depth 1; each level is ordered by the lexicographic order of its words.
     Level d + 1 is built from the quotients of level d only when it is
     requested, so a consumer that stops after level d decomposes no label
-    of that level. Stops after the last nonempty level."""
+    of that level. A label whose hooks are all below p is its own p-core
+    with only empty quotients, and is not decomposed, as in `_walk`. Stops
+    after the last nonempty level."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    level = [lam] if lam else []
-    while level := [q for label in level for q in decompose(label, p).quotients if q]:
+    level = [lam]
+    while level := [
+        q
+        for label in level
+        if largest_hook(label) >= p
+        for q in decompose(label, p).quotients
+        if q
+    ]:
         yield level
 
 

@@ -15,7 +15,6 @@ arguments only.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -120,8 +119,11 @@ class RatioParams(_RatioFields):
 def _signed(gammas, deltas) -> tuple[tuple[int, int], ...]:
     """(r, #{gamma = r} - #{delta = r}) for every entry r where that is not
     0, in order of first appearance, gammas first."""
-    k = Counter(gammas)
-    k.subtract(deltas)
+    k: dict[int, int] = {}
+    for r in gammas:
+        k[r] = k.get(r, 0) + 1
+    for r in deltas:
+        k[r] = k.get(r, 0) - 1
     return tuple((r, n) for r, n in k.items() if n)
 
 

@@ -46,6 +46,7 @@ from conftest import (
     all_partitions_through,
     balanced_parameter_grid,
     exact_ratio_value,
+    oracle_divisible_hook_counts,
     oracle_flow_certified,
     oracle_hook_shape_scan,
     oracle_least_failing_mu,
@@ -57,7 +58,7 @@ from conftest import (
     unbalanced_parameter_grid,
 )
 from hookratio.integral import _dilation
-from hookratio.littlewood import _hook_count
+from hookratio.littlewood import _hook_count, largest_hook
 from hookratio.partition import MAX_SIZE_ENV_VAR, _hook_values
 from hookratio.primes import factorize
 
@@ -212,6 +213,20 @@ class TestCountsSignature:
                     total = sum(c * g_value(h, params) for h, c in hooks)
                     assert counts_signature(lam, params) == total, (lam, params)
 
+    def test_matches_oracle_counts(
+        self, partitions_by_size, balanced_grid, survey_grid
+    ):
+        # the entries above a shape's largest hook divide none of its hooks
+        # and are skipped, such as every entry above 3 at (2, 2)
+        shapes = list(all_partitions_through(partitions_by_size, 10))
+        assert any(largest_hook(lam) < 12 for lam in shapes)
+        moduli = range(1, 13)
+        for lam in shapes:
+            counts = oracle_divisible_hook_counts(lam, moduli)
+            for params in balanced_grid + survey_grid:
+                expected = sum(k * counts[r] for r, k in params.signed)
+                assert counts_signature(lam, params) == expected, (lam, params)
+
 
 class TestHookShapeScan:
     """The scan over a doubled period against the scan through FTable.f."""
@@ -254,6 +269,28 @@ class TestHookShapeScan:
         after = build_ftable.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + reads
         assert found == oracle_hook_shape_scan(params)
+
+    def test_least_delta_is_decided_without_f(
+        self, monkeypatch, balanced_grid, survey_grid
+    ):
+        # a least entry r that is a delta fails at the column 1^r, the
+        # scan's first hit (0, r - 1), and the flow rejects the pair: no
+        # prefix of f and no period table is built for it
+        def refuse(*args):
+            raise AssertionError("f was built")
+
+        pairs = [
+            p for p in balanced_grid + survey_grid if min(p.signed)[1] < 0
+        ]
+        expected = [(p, oracle_hook_shape_scan(p)) for p in pairs]
+        assert len(pairs) == 83 + 425
+        monkeypatch.setattr(integral_module, "_f_upto", refuse)
+        monkeypatch.setattr(integral_module, "build_ftable", refuse)
+        for params, oracle in expected:
+            r = min(params.signed)[0]
+            assert integral_module._hook_shape_scan(params) == oracle == (0, r - 1)
+            assert not integral_module._certified_by_flow(params), params
+            assert decide(params, 16).witness.mu == Partition((1,) * r), params
 
     def test_hit_at_m_442860(self):
         params = RatioParams((3660,), (7260, 7381))
@@ -305,6 +342,16 @@ class TestFindFailingMu:
         )
         with pytest.raises(ValueError, match=message):
             find_failing_mu(RatioParams((2,), (3,)), 5, hooks_only=True)
+
+    def test_hooks_only_needs_balance_with_a_least_delta(self):
+        # the column answer for a least delta is given only after the
+        # balance check
+        message = (
+            r"^parameters \(\(3\),\(2\)\) are not balanced; "
+            r"the period is undefined$"
+        )
+        with pytest.raises(ValueError, match=message):
+            find_failing_mu(RatioParams((3,), (2,)), 0, hooks_only=True)
 
     def test_unbalanced_exhaustive(self):
         assert find_failing_mu(RatioParams((2,), (3,)), 5) == Partition((2, 1))

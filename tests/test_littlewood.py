@@ -278,7 +278,8 @@ class TestTowers:
 
     def test_levels_are_built_on_request(self, monkeypatch):
         # reading level 1 decomposes only the root; level 2 is built from
-        # the level-1 labels when it is asked for
+        # the level-1 labels when it is asked for, and a label whose hooks
+        # are all below p is not decomposed: 6^5 is its own 11-core
         import hookratio.littlewood as littlewood_module
 
         calls = []
@@ -293,7 +294,31 @@ class TestTowers:
         assert next(levels) == [parse_partition("6^5")] * 11
         assert len(calls) == 1
         assert list(levels) == []
-        assert len(calls) == 12
+        assert len(calls) == 1
+
+        calls.clear()
+        levels = iter_tower_levels(parse_partition("4^4"), 2)
+        assert next(levels) == [parse_partition("2,2")] * 2
+        assert len(calls) == 1
+        assert next(levels) == [Partition((1,))] * 4
+        assert len(calls) == 3
+        assert list(levels) == []
+        assert len(calls) == 3
+
+    def test_levels_match_decomposing_every_label(self):
+        # skipping the labels that are their own p-cores loses no level:
+        # the oracle decomposes every label, by the boundary sequence
+        for n in range(16):
+            for lam in enumerate_partitions(n):
+                for p in (2, 3, 5, 7, 11):
+                    expected = []
+                    level = [lam]
+                    while level := [
+                        q for label in level
+                        for q in oracle_decompose(label, p)[1] if q
+                    ]:
+                        expected.append(level)
+                    assert list(iter_tower_levels(lam, p)) == expected, (lam, p)
 
     def test_walk_decomposes_no_label_below_p(self, monkeypatch):
         # every depth 1 label of 66^55 at 11 is 6^5, whose hooks are all

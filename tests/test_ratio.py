@@ -124,6 +124,21 @@ class TestRatioParams:
         assert signed((3,), (3,)) == signed((2, 2), (2, 2)) == ()
         assert signed((5, 1), (2, 5, 5)) == ((5, -1), (1, 1), (2, -1))
 
+    def test_signed_matches_a_counter(self, balanced_grid, survey_grid):
+        # Counter.subtract keeps the order of first appearance, gammas
+        # first, and the cancelled entries are dropped after it; the grids'
+        # sides are disjoint, the named pairs overlap
+        def oracle(gammas, deltas):
+            k = Counter(gammas)
+            k.subtract(deltas)
+            return tuple((r, n) for r, n in k.items() if n)
+
+        sides = [(p.gammas, p.deltas) for p in balanced_grid + survey_grid]
+        sides += [((5,), (5,)), ((2,), (4, 4)), ((1, 2), (2, 4))]
+        for gammas, deltas in sides:
+            assert ratio_module._signed(gammas, deltas) == oracle(gammas, deltas)
+        assert ratio_module._signed((1, 2), (2, 4)) == ((1, 1), (4, -1))
+
     def test_signed_and_excess_match_the_tuples(self):
         for params in balanced_parameter_grid() + unbalanced_parameter_grid():
             gammas, deltas = params.gammas, params.deltas
