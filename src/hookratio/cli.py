@@ -53,6 +53,10 @@ from .ratio import (
 )
 
 EXIT_INPUT_ERROR = 64
+# the most runners `decompose` lists: its output holds one quotient and one
+# charge per runner, O(p) whatever the partition, and every modulus the
+# tests, demos and benchmark use is at most 107
+MAX_DECOMPOSE_RUNNERS = 10_000
 # 128 + SIGPIPE, what a shell reports for `yes | head`
 EXIT_BROKEN_PIPE = 141
 
@@ -158,6 +162,11 @@ def _cmd_boundary(args) -> _Result:
 
 
 def _cmd_decompose(args) -> _Result:
+    if args.p > MAX_DECOMPOSE_RUNNERS:
+        raise CliInputError(
+            f"--p {args.p} exceeds the decompose limit of {MAX_DECOMPOSE_RUNNERS} "
+            "runners; the output lists one quotient per runner"
+        )
     lam = parse_partition(args.partition)
     dec = decompose(lam, args.p)
     payload = {

@@ -26,8 +26,10 @@ from itertools import chain, compress, count, islice, repeat
 from operator import eq, gt, lt
 from typing import Iterable, NamedTuple
 
-from .integral import STATUS_FAILS, STATUS_INTEGRAL, Verdict, _verified_fails, decide
-from .partition import Partition
+from .integral import (
+    STATUS_FAILS, STATUS_INTEGRAL, Verdict, _certified_by_flow, _verified_fails, decide
+)
+from .partition import Partition, format_partition
 from .ratio import InvariantError, RatioParams, build_ftable
 
 
@@ -157,33 +159,43 @@ def decide_height1(params: RatioParams) -> Verdict:
     the pair goes through `decide`, and its verdict is held to the
     classification: Integral-Certified exactly for the canonical exception
     ((x), (2x, 2x)), and otherwise Fails at a witness of counts signature
-    exactly -1. Anything else raises Height1ContradictionError.
+    exactly -1. A Fails verdict is also held to the divisibility flow,
+    which must not certify the pair: a witness and a certificate of the
+    same pair contradict each other. Anything else raises
+    Height1ContradictionError.
     """
     _require_height1(params)
     table = build_ftable(params)
     if table.min < 0:
         x = next(compress(count(), map(lt, table.values, repeat(0))))
-        return _verified_fails(params, Partition((x,)), None)
-    # the bound 0 searches nothing: the walk runs only after an empty scan,
-    # which the classification rules out, and at limit 0 admits only the
-    # empty partition
-    contradiction = Height1ContradictionError(
-        f"hook witness of {params} has signature other than -1"
-    )
-    try:
-        verdict = decide(params, 0)
-    except ValueError as exc:  # a scan witness of signature >= 0
-        raise contradiction from exc
-    exceptional = is_canonical_exception(params)
-    if verdict.status == STATUS_FAILS and not exceptional:
-        # the re-check made the valuation p times the signature of mu
-        if verdict.valuation_at_p != -verdict.witness.p:
-            raise contradiction
-    elif verdict.status != STATUS_INTEGRAL or not exceptional:
-        raise Height1ContradictionError(
-            f"{verdict.status} for height 1 parameters {params}; "
-            "this contradicts the height 1 classification"
+        verdict = _verified_fails(params, Partition((x,)), None)
+    else:
+        # the bound 0 searches nothing: the walk runs only after an empty
+        # scan, which the classification rules out, and at limit 0 admits
+        # only the empty partition
+        contradiction = Height1ContradictionError(
+            f"hook witness of {params} has signature other than -1"
         )
-    # a height 1 verdict carries no bound: the classification, not a
-    # search up to a size, decides it
-    return verdict._replace(bound=None)
+        try:
+            verdict = decide(params, 0)
+        except ValueError as exc:  # a scan witness of signature >= 0
+            raise contradiction from exc
+        exceptional = is_canonical_exception(params)
+        if verdict.status == STATUS_FAILS and not exceptional:
+            # the re-check made the valuation p times the signature of mu
+            if verdict.valuation_at_p != -verdict.witness.p:
+                raise contradiction
+        elif verdict.status != STATUS_INTEGRAL or not exceptional:
+            raise Height1ContradictionError(
+                f"{verdict.status} for height 1 parameters {params}; "
+                "this contradicts the height 1 classification"
+            )
+        # a height 1 verdict carries no bound: the classification, not a
+        # search up to a size, decides it
+        verdict = verdict._replace(bound=None)
+    if verdict.status == STATUS_FAILS and _certified_by_flow(params):
+        raise Height1ContradictionError(
+            f"{params} fails at {format_partition(verdict.witness.mu)} "
+            "but the divisibility flow certifies it"
+        )
+    return verdict

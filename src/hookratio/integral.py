@@ -67,7 +67,11 @@ it:
    t_j(x) - t_j(-1) = (x + 1)(Mx - 2M + 2j + 1) >= 0 for x <= -1, where
    both factors are <= 0 as 2j + 1 < 3M. So, every t_j being >= 0 (by 5),
    within a budget of 2 * limit only the j < limit and the j >= M - limit
-   can have c_j != 0: at most 2 * limit coordinates, for any M.
+   can have c_j != 0: at most 2 * limit coordinates, for any M. A nonzero
+   vector of sum 0 has some c_j > 0 and some c_j' < 0, j != j', so it
+   costs at least t_j(1) + t_j'(-1) = 2M + 2(j - j'), which the vector +1
+   at j, -1 at j' attains; over a run of live coordinates the least is j
+   the first of them and j' the last.
 
 The walk is a branch and bound on the smallest failing size over the live
 coordinates: a failing core lowers the budget to its own size, and the
@@ -106,6 +110,14 @@ Certifying by a divisibility flow. `decide` certifies before it searches:
    delta is such a network, and the certificate is closed under multiset
    union (add the flows, scaled to the common M) and under cancelling an
    entry on both sides (route the flow into it on to where it went out).
+   Two rules on the entries alone show that no such flow exists. A delta
+   that no gamma divides has no edge in. Under balance the supplies sum to
+   the demands, sum_gamma k_gamma M / gamma = sum_delta -k_delta M / delta
+   (m = 0 in fact 8), so a flow that saturates every delta edge has the
+   value of the whole supply and saturates every source edge too; a gamma
+   that divides no delta has no edge out, and its positive supply cannot
+   leave. Without balance a gamma may keep supply, and the second rule
+   does not hold.
 
 Searching without balance.
 
@@ -376,6 +388,14 @@ def _rest_costs(M: int, live: list[int], top: int) -> list[list[int]]:
     return rest
 
 
+def _zero_rest(M: int, live: list[int], top: int) -> list[int]:
+    """zero_rest[i]: the least cost of a nonzero completion of the live
+    coordinates i.. that sums to 0, 2M + 2(live[i] - live[-1]) by fact 6,
+    or top + 1 when fewer than two coordinates remain."""
+    n = len(live)
+    return [2 * M + 2 * (live[i] - live[-1]) for i in range(n - 1)] + [top + 1] * 2
+
+
 def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     """Lexicographically least M-core with negative signature among those of
     the smallest failing size up to limit.
@@ -385,15 +405,26 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     part of 2M sig as in the module docstring, to which a leaf adds m times
     its cost (fact 8); see there for why this equals the search over every
     partition and why only the live coordinates (fact 6) can move.
+
+    Zero coordinates cost nothing to carry: x = 0 leaves the cost, the sum
+    and every r-charge as they are, so that branch updates nothing. A
+    prefix with sum 0 whose least nonzero completion (`_zero_rest`) costs
+    more than the budget has one completion within it, all zeros, which
+    the walk would reach first (x = 0 comes first at every coordinate),
+    and every later one lies above a budget that only falls. So the prefix
+    is counted as that leaf at once, and a leaf is exactly such a prefix
+    with no coordinate left. The core count check below still sees every
+    leaf once.
     """
     M, slope = params.modulus, params.excess
     top = 2 * limit
     live = [j for j in range(M) if j < limit or j >= M - limit]
-    n = len(live)
     terms = [(-k * (M // r), r, [0] * r) for r, k in params.signed if r > 1]
     # live coordinate j moves residue j mod r of each r-charge vector
     updates = [[(w, r, j % r, S) for w, r, S in terms] for j in live]
     rest = _rest_costs(M, live, top)
+    zero_rest = _zero_rest(M, live, top)
+    # c is 0 on every coordinate from live[i] on whenever visit(i) starts
     c = [0] * M
     visited = [0] * (limit + 1)
     budget = top
@@ -401,9 +432,8 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
 
     def visit(i: int, s: int, cost: int, sig: int) -> None:
         nonlocal budget, failing
-        if i == n:
-            size = cost // 2
-            visited[size] += 1
+        if not s and cost + zero_rest[i] > budget:
+            visited[cost // 2] += 1
             if sig + slope * cost < 0:
                 if cost < budget or not failing:
                     budget, failing = cost, []
@@ -412,10 +442,12 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
         j = live[i]
         lin = 2 * j - M + 1
         below = rest[i + 1]
+        if cost + below[top - s] <= budget:
+            visit(i + 1, s, cost, sig)
         # cost >= |s| and t_j(x) >= |x| (fact 5), so t >= |s + x|; as t <=
         # budget <= top, the index top - s - x lies in [0, 2 * top]. A walk
         # that pruned wrongly would still fail the core count check below
-        for x, step in ((0, 1), (-1, -1)):
+        for x, step in ((1, 1), (-1, -1)):
             while (t := cost + M * x * x + lin * x) <= budget:
                 if t + below[top - s - x] <= budget:
                     d = 0
@@ -428,6 +460,7 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
                     for w, r, a, S in updates[i]:
                         S[a] -= x
                 x += step
+        c[j] = 0
 
     visit(0, 0, 0, 0)
     reached = budget // 2
@@ -650,19 +683,32 @@ def _certified_by_flow(params: RatioParams) -> bool:
     is bounded by the size of the network, not by M, and each search walks
     those arcs only.
 
-    A least entry that is a delta is rejected before the maps are built:
-    every gamma is larger, so none divides it, and it would receive
-    nothing.
+    The two rules of fact 7 reject a pair from its entries, before any
+    map is built: a delta that no gamma divides, and, under balance, a
+    gamma that divides no delta. A least entry that is a delta is the
+    first such delta, as every gamma is larger, and is read off first.
     """
-    if min(params.signed)[1] < 0:
+    signed = params.signed
+    if min(signed)[1] < 0:
         return False
+    gammas = [r for r, k in signed if k > 0]
+    deltas = [r for r, k in signed if k < 0]
+    for d in deltas:
+        for g in gammas:
+            if d % g == 0:
+                break
+        else:
+            return False
+    if not params.excess:
+        for g in gammas:
+            for d in deltas:
+                if d % g == 0:
+                    break
+            else:
+                return False
     M = params.modulus
-    supply = {r: k * (M // r) for r, k in params.signed if k > 0}
-    demand = {r: -k * (M // r) for r, k in params.signed if k < 0}
-    # a delta that no gamma divides receives nothing; most failing pairs
-    # stop here, before the network is built
-    if not all(any(d % g == 0 for g in supply) for d in demand):
-        return False
+    supply = {r: k * (M // r) for r, k in signed if k > 0}
+    demand = {r: -k * (M // r) for r, k in signed if k < 0}
     source, sink = 0, -1
     # the source's arcs are the supplies, read as such only until the
     # first augmentation

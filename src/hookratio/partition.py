@@ -235,6 +235,11 @@ def restricted_hooks(lam: Partition, r: int) -> Counter:
     return Counter(h // r for h in _hook_values(lam.parts) if h % r == 0)
 
 
+# Bounded, so a long run cannot grow it without limit: the 801 survey
+# pairs that fail at a hook shape meet only 22 distinct ones. A Partition
+# is immutable, so callers can share one; it is held in runs until a
+# reader lists its rows, 1 + leg of them, which it then keeps.
+@lru_cache(maxsize=4096)
 def construct_hook_partition(arm: int, leg: int) -> Partition:
     """The hook shape (1 + arm, 1, ..., 1) with ``leg`` trailing ones.
 

@@ -273,6 +273,25 @@ def oracle_rest_costs(M, live, top):
     return rest
 
 
+def oracle_zero_rest(M, live, top):
+    """zero_rest[i], the least cost sum t_j(c_j) of a nonzero vector on the
+    live coordinates i.. with sum c_j = 0, or top + 1 above top, by listing
+    every vector of cost <= top (each t_j is >= 0, so a prefix above top
+    is dropped)."""
+
+    def least(coords, s, cost, nonzero):
+        if not coords:
+            return cost if nonzero and s == 0 else top + 1
+        j, best = coords[0], top + 1
+        for x in range(-top, top + 1):
+            t = cost + M * x * x + (2 * j - M + 1) * x
+            if t <= top:
+                best = min(best, least(coords[1:], s + x, t, nonzero or x != 0))
+        return best
+
+    return [least(live[i:], 0, 0, False) for i in range(len(live) + 1)]
+
+
 def random_balanced_pairs(rng, count, max_modulus):
     """count distinct balanced pairs with modulus <= max_modulus: phi-images
     of Bober family instances at random coprime (x, y), integer multiples

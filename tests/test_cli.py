@@ -40,6 +40,16 @@ class TestDecomposeVerb:
         assert payload["quotients"] == ["2", "", "5,2"]
         assert payload["charges"] == [0, -1, 1]
 
+    def test_runner_limit(self, capsys):
+        # the limit is named ahead of the malformed literal: it is checked
+        # before the partition is read, so no work starts
+        limit = cli.MAX_DECOMPOSE_RUNNERS
+        code, out, err = invoke(
+            capsys, "decompose", "--partition", "3,x", "--p", str(limit + 1)
+        )
+        assert code == 64 and out == ""
+        assert f"limit of {limit} runners" in err
+
 
 class TestComposeVerb:
     def test_rebuilds_66_55(self, capsys):

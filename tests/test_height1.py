@@ -317,6 +317,24 @@ class TestDecideHeight1:
         with pytest.raises(Height1ContradictionError, match="contradicts"):
             decide_height1(RatioParams((3,), (4, 12)))
 
+    def test_fails_beside_a_flow_certificate_is_a_contradiction(self, monkeypatch):
+        # only the name height1 calls certifies the pair, so decide's own
+        # flow still rejects it and its scan finds the witness
+        params = RatioParams((3,), (4, 12))
+        monkeypatch.setattr(
+            height1_module, "_certified_by_flow", lambda p: p == params
+        )
+        assert decide(params, 0).status == STATUS_FAILS
+        with pytest.raises(Height1ContradictionError, match="flow certifies"):
+            decide_height1(params)
+        # a one-row failure is held to the flow too
+        one_row = RatioParams((3, 4), (2, 24, 24))
+        monkeypatch.setattr(
+            height1_module, "_certified_by_flow", lambda p: p == one_row
+        )
+        with pytest.raises(Height1ContradictionError, match="flow certifies"):
+            decide_height1(one_row)
+
     def test_hook_witness_of_valuation_other_than_minus_p_is_a_contradiction(
         self, monkeypatch
     ):

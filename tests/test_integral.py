@@ -53,6 +53,7 @@ from conftest import (
     oracle_ratio_valuation,
     oracle_rest_costs,
     oracle_whitelist,
+    oracle_zero_rest,
     signature_from_charges,
     source_env,
     unbalanced_parameter_grid,
@@ -418,6 +419,29 @@ class TestCoreSearch:
                 checked += 1
         assert checked == 38 * 20
 
+    def test_zero_rest_matches_brute_force(self):
+        # fact 6: the least nonzero completion of sum 0 is +1 at the first
+        # live coordinate left and -1 at the last
+        checked = 0
+        for M in range(2, 13):
+            for limit in range(1, 9):
+                live = [j for j in range(M) if j < limit or j >= M - limit]
+                top = 2 * limit
+                zero_rest = integral_module._zero_rest(M, live, top)
+                # above the budget top, any value above it prunes alike
+                assert [min(v, top + 1) for v in zero_rest] == (
+                    oracle_zero_rest(M, live, top)
+                ), (M, limit)
+                checked += 1
+        assert checked == 11 * 8
+
+    def test_survey_walk_witness(self):
+        # one of the two survey pairs that reach the walk; the other,
+        # WALKED, is pinned at the same bound by the deepening test below
+        assert integral_module._least_failing_mu(
+            RatioParams((1, 6), (2, 3, 4, 12)), 16
+        ) == parse_partition("4,4,1^4")
+
     def test_count_mismatch_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr(
             integral_module, "_core_counts", lambda _, n: [0] * (n + 1)
@@ -620,17 +644,27 @@ class TestDivisibilityFlow:
     def test_matches_gale_condition(self, survey_grid):
         # the census of entries <= 24 and 1 to 4 per side, and the survey
         census = balanced_parameter_grid(max_entry=24, max_len=4)
-        for pairs, expected in ((census, 135), (survey_grid, 47)):
+        for pairs, expected, by_network in ((census, 135, 53), (survey_grid, 47, 13)):
             certified = [p for p in pairs if integral_module._certified_by_flow(p)]
             assert certified == [p for p in pairs if oracle_flow_certified(p)]
             assert len(certified) == expected
-            # pairs where every delta has a divisor but the supply falls
-            # short, so the answer comes from the flow, not its pre-check
-            assert any(
-                p not in certified
+            # pairs where every delta has a gamma divisor and every gamma
+            # divides a delta, but the supply falls short: the answer comes
+            # from Edmonds-Karp, not from the rules on the entries
+            rejected = [
+                p for p in pairs
+                if p not in certified
                 and all(any(d % g == 0 for g in p.gammas) for d in p.deltas)
-                for p in pairs
-            )
+                and all(any(d % g == 0 for d in p.deltas) for g in p.gammas)
+            ]
+            assert len(rejected) == by_network
+
+    def test_unbalanced_supply_may_stay_unused(self):
+        # m = 2 > 0: 5 divides no delta and keeps its supply, while 1 alone
+        # feeds both 2s, so the rule on the gammas must not reject the pair
+        params = RatioParams((1, 5), (2, 2))
+        assert params.excess == 2
+        assert integral_module._certified_by_flow(params)
 
     def test_certified_pairs_search_clean(self, balanced_grid, survey_grid):
         for pairs, bound, expected in ((balanced_grid, 14, 23), (survey_grid, 16, 47)):
