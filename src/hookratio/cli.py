@@ -57,6 +57,10 @@ EXIT_INPUT_ERROR = 64
 # charge per runner, O(p) whatever the partition, and every modulus the
 # tests, demos and benchmark use is at most 107
 MAX_DECOMPOSE_RUNNERS = 10_000
+# the largest modulus M whose period table `f-table` builds and lists: the
+# table holds one value per residue, O(M) whatever the pair, and every M
+# the tests, demos and README use is at most 30
+MAX_FTABLE_MODULUS = 1_000_000
 # 128 + SIGPIPE, what a shell reports for `yes | head`
 EXIT_BROKEN_PIPE = 141
 
@@ -233,7 +237,13 @@ def _cmd_ratio(args) -> _Result:
 
 
 def _cmd_ftable(args) -> _Result:
-    table = build_ftable(_params_arg(args))
+    params = _params_arg(args)
+    if params.modulus > MAX_FTABLE_MODULUS:
+        raise CliInputError(
+            f"M = {params.modulus} exceeds the f-table limit of "
+            f"{MAX_FTABLE_MODULUS}; the table lists one value per residue"
+        )
+    table = build_ftable(params)
 
     def text():
         yield f"M = {table.M}, P = {table.M}, min = {table.min}, max = {table.max}"

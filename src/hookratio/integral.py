@@ -138,13 +138,13 @@ Searching without balance.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .littlewood import (
     _assemble,
-    _hook_count,
+    _shape,
+    _Shape,
     _valuation,
     _walk,
     divisible_hook_counts,
@@ -265,17 +265,27 @@ def ratio_factored(lam: Partition, params: RatioParams) -> FactoredRatio:
 def counts_signature(mu: Partition, params: RatioParams) -> int:
     """Signed hook count sum: sum k_r N_r(mu) over the distinct entries r,
     where k_r = #{gamma = r} - #{delta = r} and N_m counts the hooks
-    divisible by m. No hook of mu is listed: an entry above the largest
-    hook divides none and adds 0, and every other N_r is read from the bead
-    intervals of mu through the memo `littlewood._hook_count`, keyed by
-    (mu.runs, r) and bounded at 4096 entries, as `_valuation` reads its
-    counts. The memo holds N_r, a count of the shape alone; the sum with
-    this pair's k_r is formed afresh on every call, so it is this pair's
-    signature, and the re-check in `_verified_fails` that compares it with
-    the valuation at the dilation stays independent.
+    divisible by m. No hook of mu is listed: every N_r is read from mu's
+    record in `littlewood._shape`, as `_valuation` reads its counts, by
+    `_signature`.
     """
-    runs, top = mu.runs, largest_hook(mu)
-    return sum(k * _hook_count(runs, r) for r, k in params.signed if r <= top)
+    return _signature(_shape(mu.runs), params.signed)
+
+
+def _signature(rec: _Shape, signed: Sequence[tuple[int, int]]) -> int:
+    """sum k_r N_r over the pairs (r, k_r) of signed, on the record of a
+    shape. An entry above the largest hook divides none and adds 0. The
+    record holds N_r, a count of the shape alone; the sum with the pair's
+    k_r is formed afresh on every call, so it is that pair's signature, and
+    the re-check in `_verified_fails` that compares it with the valuation
+    at the dilation stays independent.
+    """
+    top = rec.top
+    sig = 0
+    for r, k in signed:
+        if r <= top:
+            sig += k * rec[r]
+    return sig
 
 
 def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
@@ -288,17 +298,17 @@ def ratio_valuation(lam: Partition, params: RatioParams, p: int) -> int:
     of these weighted by k_r, stopping once r * p**i exceeds the
     largest hook, lam_1 + len(lam) - 1. Each N_m is read off one bead
     interval per run of lam in O(R log R) for R runs, so the cost grows
-    with neither |lam| nor len(lam), and is read through the memo
-    `littlewood._hook_count`, keyed by (lam.runs, m) and bounded at 4096
-    entries, so a dilation that comes back costs one lookup per term. The
-    count comes straight from the profile of lam and never decomposes it,
-    so it re-checks a witness independently of the tower identity that
-    built the witness; the memo keeps only such counts of the shape, and
-    the weights k_r and the prime p of this call are applied afresh.
+    with neither |lam| nor len(lam), and is kept in lam's record in
+    `littlewood._shape`, so a shape that comes back costs one dict read
+    per term. The count comes straight from the profile of lam and never
+    decomposes it, so it re-checks a witness independently of the tower
+    identity that built the witness; the record keeps only such counts of
+    the shape, and the weights k_r and the prime p of this call are
+    applied afresh.
     """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    return _valuation(lam, params.signed, p)
+    return _valuation(_shape(lam.runs), params.signed, p)
 
 
 def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
@@ -523,22 +533,6 @@ def find_failing_mu(
     return _least_failing_mu(params, size_bound)
 
 
-# Bounded, so a long run cannot grow it without limit: the 803 failing
-# survey pairs meet only 24 distinct witnesses. lam is immutable, so
-# verdicts can share it; it is held in runs, as many as mu has, until a
-# reader lists its rows, which it then keeps while it stays here.
-@lru_cache(maxsize=4096)
-def _dilation(mu: Partition) -> tuple[int, Partition]:
-    """(p, lam) for `_verified_fails`: p the least prime above every hook
-    of mu, lam = mu dilated by p."""
-    p = next_prime_above(largest_hook(mu))
-    # compose(EMPTY, [mu] * p, p) blows every cell of mu up into a p x p
-    # block: bead x of mu on the empty abacus becomes the p beads p x + j,
-    # j < p, one per runner at level x, so run (v, m) of mu becomes the run
-    # (p v, p m) of lam
-    return p, Partition.from_runs((p * v, p * m) for v, m in mu.runs)
-
-
 def construct_failing_lambda(
     mu: Partition, params: RatioParams
 ) -> tuple[int, Partition]:
@@ -745,32 +739,55 @@ def _certified_by_flow(params: RatioParams) -> bool:
             residual[v][u] += push
 
 
+def _dilation(rec: _Shape, mu: Partition) -> tuple[int, _Shape, Witness]:
+    """rec.dilation for the record of mu, set here on its first Fails: p
+    the least prime above every hook of mu, lam = mu dilated by p, lam's
+    own record and the Witness (mu, p, lam).
+
+    lam's record is its own, outside the `_shape` memo, so a dilation of a
+    dilation never hangs off it and the memo stays bounded. lam is
+    immutable, so verdicts can share it; it is held in runs, as many as mu
+    has, until a reader lists its rows.
+    """
+    p = next_prime_above(rec.top)
+    # compose(EMPTY, [mu] * p, p) blows every cell of mu up into a p x p
+    # block: bead x of mu on the empty abacus becomes the p beads p x + j,
+    # j < p, one per runner at level x, so run (v, m) of mu becomes the run
+    # (p v, p m) of lam
+    lam = Partition.from_runs((p * v, p * m) for v, m in mu.runs)
+    rec.dilation = p, _Shape(lam.runs), Witness(mu, p, lam)
+    return rec.dilation
+
+
 def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Verdict:
     """The Fails verdict of this pair at the witness mu, re-checked.
 
-    sig, the counts signature of mu, is formed for this pair on every call
-    and must be negative. (p, lam) depend on mu alone and come from
-    `_dilation`, a memo keyed by mu and bounded at 4096 entries, so a
-    witness that comes back reads its largest hook and its prime once.
-    Sharing them leaves the re-check independent: the pair's own k_r weight
-    the counts of lam, and a lam that is not mu's dilation at p shows up as
-    a valuation other than p * sig, which raises InvariantError.
+    One read of the `littlewood._shape` memo gives mu's record. sig, the
+    counts signature of mu, is formed from it for this pair on every call
+    and must be negative. (p, lam) depend on mu alone and are kept in the
+    record with lam's own record and the Witness (`_dilation`), so a
+    witness that comes back reads its largest hook, its prime and its
+    counts once. Sharing them leaves the re-check independent: the pair's
+    own k_r weight the counts of lam, and a lam that is not mu's dilation
+    at p, or a count of it that is wrong, shows up as a valuation other
+    than p * sig, which raises InvariantError.
     """
-    sig = counts_signature(mu, params)
+    rec = _shape(mu.runs)
+    sig = _signature(rec, params.signed)
     if sig >= 0:
         raise ValueError(
             f"counts signature of {format_partition(mu) or '()'} is {sig}; "
             "a negative signature is required"
         )
-    p, lam = _dilation(mu)
-    vp = ratio_valuation(lam, params, p)
+    p, lam_rec, witness = rec.dilation or _dilation(rec, mu)
+    vp = _valuation(lam_rec, params.signed, p)
     expected = p * sig
     if vp != expected or vp >= 0:
         raise InvariantError(
             f"witness {format_partition(mu) or '()'} at p = {p} has valuation {vp}, "
             f"expected {expected} < 0"
         )
-    return Verdict(params, STATUS_FAILS, Witness(mu, p, lam), bound, vp)
+    return Verdict(params, STATUS_FAILS, witness, bound, vp)
 
 
 def decide(params: RatioParams, size_bound: int) -> Verdict:

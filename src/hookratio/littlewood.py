@@ -253,34 +253,32 @@ def divisible_hook_counts(lam: Partition, moduli: Iterable[int]) -> dict[int, in
     ends. Each modulus costs O(R log R) for R runs, whatever |lam| and
     len(lam) are.
 
-    The kernel is `_hook_count`, whose domain is 1 <= m <= the largest
-    hook; each such N_m is read through its memo, keyed by (lam.runs, m)
-    and bounded at 4096 entries, so a shape that comes back costs one
-    lookup per modulus; a larger m has no hook and is 0 without a lookup.
-    The memo holds counts, which depend on the shape and m alone, so a
-    caller that sums them with its own weights checks as much as one that
-    counted afresh.
+    The kernel is `_hook_count`. Each N_m with m up to the largest hook is
+    read from lam's record in `_shape`, so a shape that comes back costs
+    one dict read per modulus; a larger m has no hook and is 0 without
+    reading the record.
     """
-    runs, top = lam.runs, largest_hook(lam)
+    top = largest_hook(lam)
+    rec = None
     counts: dict[int, int] = {}
     for m in moduli:
         if m < 1:
             raise ValueError(f"divisor must be >= 1, got {m}")
-        counts[m] = _hook_count(runs, m) if m <= top else 0
+        if m > top:
+            counts[m] = 0
+            continue
+        if rec is None:
+            rec = _shape(lam.runs)
+        counts[m] = rec[m]
     return counts
 
 
-# Bounded, so a long run cannot grow it without limit: `decide` re-verifies
-# every failing pair on its witness mu and on mu's dilation, and the 850
-# survey pairs meet only 24 distinct witnesses, so their counts fit many
-# times over. A miss reads the bead intervals from the runs, which come from
-# a checked Partition, and builds none.
-@lru_cache(maxsize=4096)
 def _hook_count(runs: tuple[tuple[int, int], ...], m: int) -> int:
-    """N_m of the partition with these runs, for 1 <= m <= its largest
-    hook, counted by the interval kernel of `divisible_hook_counts`: the
-    run (value, mult) with n rows below it is the bead interval
-    [value + n, value + n + mult)."""
+    """N_m of the partition with these runs, for m >= 1, counted by the
+    interval kernel of `divisible_hook_counts`: the run (value, mult) with
+    n rows below it is the bead interval [value + n, value + n + mult).
+    Above the largest hook, every bead y_k <= y_1 = top < m sits alone at
+    level 0 of its runner, and the count is 0."""
     floors = full = n = 0  # n: the rows below this run, len(lam) at the end
     ends: list[int] = []  # 2 * runner, plus 1 where an arc starts
     for value, mult in reversed(runs):
@@ -304,32 +302,75 @@ def _hook_count(runs: tuple[tuple[int, int], ...], m: int) -> int:
     return floors - (squares - n) // 2
 
 
+# The most counts one record stores. The survey pairs store at most 7
+# per shape (one per entry up to the largest hook, on mu and on its
+# dilation); a caller that floods a shape with moduli gets the rest
+# counted afresh on every read.
+_COUNTS_PER_SHAPE = 64
+
+
+class _Shape(dict):
+    """The record of one shape: a dict from m to N_m, the number of hooks
+    divisible by m, filled on demand by `_hook_count` and holding at most
+    `_COUNTS_PER_SHAPE` of them. `top` is the largest hook, read once, and
+    readers stop their moduli there. `dilation` belongs to
+    `integral._verified_fails`: for a witness shape, (p, the record of the
+    shape dilated by p, the Witness), set on its first Fails verdict.
+
+    A record holds counts of its shape alone, never a weight or a prime of
+    any pair, so a caller that sums them with its own k_r checks as much
+    as one that counted afresh.
+    """
+
+    __slots__ = ("runs", "top", "dilation")
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        self.runs = runs
+        self.top = runs[0][0] + sum(m for _, m in runs) - 1 if runs else 0
+        self.dilation = None
+
+    def __missing__(self, m: int) -> int:
+        n = _hook_count(self.runs, m)
+        if len(self) < _COUNTS_PER_SHAPE:
+            self[m] = n
+        return n
+
+
+# Bounded in shapes here and in counts per shape by `_COUNTS_PER_SHAPE`,
+# so a long run cannot grow it without limit: the 803 failing survey pairs
+# meet only 24 distinct witness shapes. A miss reads no bead and counts
+# nothing; the record fills as it is read. Every caller gets the same
+# record, and only `_Shape.__missing__` and `integral._dilation` write it.
+@lru_cache(maxsize=1024)
+def _shape(runs: tuple[tuple[int, int], ...]) -> _Shape:
+    """The record of the shape with these runs, from a checked Partition."""
+    return _Shape(runs)
+
+
 def hook_count_divisible(lam: Partition, r: int) -> int:
     """Number of hooks of lam divisible by r."""
     return divisible_hook_counts(lam, (r,))[r]
 
 
-def _valuation(lam: Partition, signed: Sequence[tuple[int, int]], p: int) -> int:
-    """sum_r k_r sum_{i >= 1} N_{r * p**i}(lam) over the pairs (r, k_r) of
-    signed, where N_m counts the hooks divisible by m.
+def _valuation(rec: _Shape, signed: Sequence[tuple[int, int]], p: int) -> int:
+    """sum_r k_r sum_{i >= 1} N_{r * p**i} over the pairs (r, k_r) of
+    signed, N_m the number of hooks divisible by m, read from the record
+    of the shape.
 
     A hook h divisible by r contributes v_p(h / r) to the inner sum, the
     number of i >= 1 with r * p**i dividing h, so at a prime p this is the
-    exponent of p in prod_r H_r(lam)^{k_r}, H_r the product of the hooks
+    exponent of p in prod_r H_r^{k_r}, H_r the product of the hooks
     divisible by r, each divided by r. The terms stop once r * p**i
-    exceeds the largest hook, and each N_m is read through the
-    `_hook_count` memo (keyed by (lam.runs, m), bounded at 4096 entries),
-    so a shape that comes back costs one lookup per term. The memo holds
-    counts of the shape alone; the weights k_r and the prime p are the
-    caller's, summed afresh on every call, so a wrong k_r or p still gives
-    a wrong sum.
+    exceeds the largest hook. The record holds counts of the shape alone;
+    the weights k_r and the prime p are the caller's, summed afresh on
+    every call, so a wrong k_r or p still gives a wrong sum.
     """
-    runs, top = lam.runs, largest_hook(lam)
+    top = rec.top
     total = 0
     for r, k in signed:
         m = r * p
         while m <= top:
-            total += k * _hook_count(runs, m)
+            total += k * rec[m]
             m *= p
     return total
 
@@ -346,7 +387,7 @@ def valuation_hook_product(lam: Partition, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"valuation requires a prime modulus, got {p}")
-    return _valuation(lam, ((1, 1),), p)
+    return _valuation(_shape(lam.runs), ((1, 1),), p)
 
 
 def cells_with_exact_valuation(lam: Partition, p: int, d: int) -> int:

@@ -411,6 +411,17 @@ def unbalanced_parameter_grid(max_entry=6, max_len=2):
     )
 
 
+@pytest.fixture
+def cold_shapes():
+    """An empty per-shape memo before and after the test, for tests that
+    alter a record or the seam that fills one."""
+    from hookratio.littlewood import _shape
+
+    _shape.cache_clear()
+    yield _shape
+    _shape.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def partitions_by_size():
     return {n: list(enumerate_partitions(n)) for n in range(13)}

@@ -144,6 +144,18 @@ class TestFTableVerb:
         code, _, err = invoke(capsys, "f-table", "--gamma", "2", "--delta", "3")
         assert code == 64 and "balanced" in err
 
+    def test_modulus_limit(self, capsys, monkeypatch):
+        # M is about 1.28e11: the limit is named before any table is built
+        def building(params):
+            raise AssertionError(f"a table was built for {params}")
+
+        monkeypatch.setattr(cli, "build_ftable", building)
+        code, out, err = invoke(
+            capsys, "f-table", "--gamma", "15999999", "--delta", "31992000,32008000"
+        )
+        assert code == 64 and out == ""
+        assert f"limit of {cli.MAX_FTABLE_MODULUS}" in err
+
 
 class TestCheckVerb:
     def test_sporadic_fails(self, capsys):
@@ -279,7 +291,7 @@ class TestConstructExtractVerbs:
         # a valuation other than p times the signature of mu is a fault of
         # the program: a diagnostic and exit 64, never a printed result
         monkeypatch.setattr(
-            integral_module, "ratio_valuation", lambda lam, params, p: -1
+            integral_module, "_valuation", lambda rec, signed, p: -1
         )
         code, out, err = invoke(
             capsys, "construct-lambda", "--mu", "6^5",

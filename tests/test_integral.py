@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hookratio.integral as integral_module
+import hookratio.littlewood as littlewood_module
 import hookratio.partition as partition_module
 from hookratio import (
     STATUS_FAILS,
@@ -58,8 +59,8 @@ from conftest import (
     source_env,
     unbalanced_parameter_grid,
 )
-from hookratio.integral import _dilation
-from hookratio.littlewood import _hook_count, largest_hook
+from hookratio.integral import Witness, _dilation
+from hookratio.littlewood import _Shape, _shape, largest_hook
 from hookratio.partition import MAX_SIZE_ENV_VAR, _hook_values
 from hookratio.primes import factorize
 
@@ -761,20 +762,31 @@ class TestConstructFailingLambda:
                 checked += 1
         assert checked >= 50
 
-    def test_rechecks_the_dilation(self, monkeypatch):
+    def test_rechecks_the_dilation(self, monkeypatch, cold_shapes):
         # a lam that is not the dilation of mu at p is caught by the
-        # valuation re-check, never returned
+        # valuation re-check, never returned; the memo starts cold, so
+        # the record of mu takes its dilation from the patched builder
+        lam = parse_partition("66^54")
         monkeypatch.setattr(
-            integral_module, "_dilation", lambda mu: (11, parse_partition("66^54"))
+            integral_module, "_dilation",
+            lambda rec, mu: (11, _Shape(lam.runs), Witness(mu, 11, lam)),
         )
         with pytest.raises(InvariantError, match="expected -11"):
             construct_failing_lambda(RECTANGLE, SPORADIC)
 
     def test_dilation_memo_keeps_shapes_of_one_size_apart(self, partitions_by_size):
         # all 22 shapes of size 8 through one warm memo: shapes of one size
-        # share no entry, so each keeps its own prime and dilation
+        # share no record, so each keeps its own prime and dilation, the
+        # same as a fresh record's
+        def dilation(rec, mu):
+            p, lam_rec, witness = rec.dilation or _dilation(rec, mu)
+            return p, lam_rec.runs, lam_rec.top, witness
+
         for mu in partitions_by_size[8]:
-            assert _dilation(mu) == _dilation.__wrapped__(mu), mu.runs
+            dilation(_shape(mu.runs), mu)
+        for mu in partitions_by_size[8]:
+            warm, fresh = _shape(mu.runs), _Shape(mu.runs)
+            assert dilation(warm, mu) == dilation(fresh, mu), mu.runs
 
     def test_exponent_is_p_times_signature(self, balanced_grid):
         rng = random.Random(11)
@@ -939,7 +951,7 @@ class TestDecide:
         # warm memos in one order give the verdicts that cold ones, cleared
         # before every call, give in the other
         pairs = balanced_grid + survey_grid
-        memos = (_hook_count, _dilation, build_ftable, factorize, _hook_values)
+        memos = (_shape, build_ftable, factorize, _hook_values)
 
         def fields(verdict):
             w = verdict.witness
@@ -957,16 +969,52 @@ class TestDecide:
     @pytest.mark.parametrize("params, bound", [(SPORADIC, 30), (WALKED, 6)])
     def test_fails_computes_the_signature_once(self, monkeypatch, params, bound):
         calls = []
-        signature = integral_module.counts_signature
+        signature = integral_module._signature
 
-        def counted(mu, params):
-            calls.append(mu)
-            return signature(mu, params)
+        def counted(rec, signed):
+            calls.append(Partition.from_runs(rec.runs))
+            return signature(rec, signed)
 
-        monkeypatch.setattr(integral_module, "counts_signature", counted)
+        monkeypatch.setattr(integral_module, "_signature", counted)
         verdict = decide(params, bound)
         assert verdict.status == STATUS_FAILS
         assert calls == [verdict.witness.mu]
+
+    def test_a_shared_witness_is_read_from_its_record(self, monkeypatch):
+        # both pairs fail at the column 1,1 and read the same counts, N_2
+        # of mu and N_6 of its dilation at p = 3: once the first has warmed
+        # the record, the second reads no largest hook, no prime and no
+        # count from the kernel
+        first = decide(RatioParams((3, 4), (2, 12)), 16)
+
+        def forbidden(*args):
+            raise AssertionError(f"called with {args!r}")
+
+        for module, name in (
+            (integral_module, "largest_hook"),
+            (integral_module, "next_prime_above"),
+            (littlewood_module, "largest_hook"),
+            (littlewood_module, "_hook_count"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        second = decide(RatioParams((3, 6), (2,)), 16)
+        assert first.status == second.status == STATUS_FAILS
+        assert second.witness == first.witness == (
+            Partition((1, 1)), 3, Partition((3,) * 6)
+        )
+        assert second.valuation_at_p == -3
+
+    def test_an_altered_count_of_the_dilation_is_caught(self, cold_shapes):
+        # the record of the dilation holds counts of the shape only, and
+        # the valuation formed from them must still be p times the
+        # signature: a wrong count is a fault, never a verdict
+        verdict = decide(SPORADIC, 30)
+        lam_rec = cold_shapes(verdict.witness.mu.runs).dilation[1]
+        lam_rec[min(lam_rec)] += 1
+        with pytest.raises(
+            InvariantError, match=f"expected {verdict.valuation_at_p} < 0"
+        ):
+            decide(SPORADIC, 30)
 
     @pytest.mark.parametrize(
         "gammas, deltas",
@@ -1011,9 +1059,29 @@ class TestDecide:
         # when the interpreter strips assert statements
         script = (
             "import hookratio\n"
-            "hookratio.integral.ratio_valuation = lambda lam, params, p: 0\n"
+            "hookratio.integral._valuation = lambda rec, signed, p: 0\n"
             "try:\n"
             "    hookratio.decide(hookratio.RatioParams((1, 30), (2, 3, 5)), 10)\n"
+            "except hookratio.InvariantError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised")
+
+    def test_an_altered_count_is_caught_under_optimize_flag(self):
+        script = (
+            "import hookratio\n"
+            "from hookratio.littlewood import _shape\n"
+            "params = hookratio.RatioParams((1, 30), (2, 3, 5))\n"
+            "mu = hookratio.decide(params, 30).witness.mu\n"
+            "lam_rec = _shape(mu.runs).dilation[1]\n"
+            "lam_rec[min(lam_rec)] += 1\n"
+            "try:\n"
+            "    hookratio.decide(params, 30)\n"
             "except hookratio.InvariantError as exc:\n"
             "    print('raised', exc)\n"
         )

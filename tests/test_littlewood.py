@@ -22,7 +22,9 @@ from hookratio import (
     valuation_hook_product,
 )
 from hookratio.littlewood import (
+    _COUNTS_PER_SHAPE,
     _hook_count,
+    _shape,
     divisible_hook_counts,
     largest_hook,
 )
@@ -482,14 +484,14 @@ class TestHookCountMemo:
             top = largest_hook(lam)
             moduli = range(1, top + 3)  # m = 1 and two moduli above every hook
             fresh = {
-                m: _hook_count.__wrapped__(lam.runs, m) if m <= top else 0
+                m: _hook_count(lam.runs, m) if m <= top else 0
                 for m in moduli
             }
             # the first pass fills the memo, the second reads it
             for _ in range(2):
                 assert divisible_hook_counts(lam, moduli) == fresh, lam.runs
             for m in range(1, top + 1):
-                assert _hook_count(lam.runs, m) == fresh[m], (lam.runs, m)
+                assert _shape(lam.runs)[m] == fresh[m], (lam.runs, m)
 
     def test_zero_modulus_still_raises_with_a_warm_memo(self):
         lam = Partition((6, 4, 2))
@@ -502,13 +504,29 @@ class TestHookCountMemo:
 
     def test_stores_no_count_above_the_largest_hook(self):
         # a modulus above every hook is answered 0 without a lookup
-        _hook_count.cache_clear()
+        _shape.cache_clear()
         assert divisible_hook_counts(Partition((6, 4, 2)), (9, 10, 80)) == {
             9: 0, 10: 0, 80: 0,
         }
         assert divisible_hook_counts(Partition(), (1, 2)) == {1: 0, 2: 0}
-        info = _hook_count.cache_info()
+        info = _shape.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_stays_bounded_in_shapes_and_counts(self, cold_shapes):
+        # a flood of moduli on one shape stores at most _COUNTS_PER_SHAPE
+        # of them and still counts the rest, and a flood of shapes keeps
+        # at most maxsize records
+        lam = parse_partition(self.TOWER_SHAPES[-1])
+        moduli = range(1, largest_hook(lam) + 3)
+        counts = divisible_hook_counts(lam, moduli)
+        assert counts == {m: _hook_count(lam.runs, m) for m in moduli}
+        assert len(cold_shapes(lam.runs)) == _COUNTS_PER_SHAPE
+        maxsize = cold_shapes.cache_info().maxsize
+        for n in range(1, maxsize + 100):
+            assert divisible_hook_counts(Partition((n,)), (1, n)) == {1: n, n: 1}
+        assert cold_shapes.cache_info().currsize == maxsize
+        records = [cold_shapes(Partition((n,)).runs) for n in range(100, maxsize + 100)]
+        assert max(map(len, records)) <= _COUNTS_PER_SHAPE
 
 
 class TestValuations:

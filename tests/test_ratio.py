@@ -20,8 +20,7 @@ from hookratio import (
     landau_one_row_check,
     phi_bijection,
 )
-from hookratio.integral import _dilation
-from hookratio.littlewood import _hook_count
+from hookratio.littlewood import _shape
 from hookratio.primes import factorize
 
 from conftest import (
@@ -345,7 +344,7 @@ class TestFTable:
         with pytest.raises(InvariantError, match=r"f\(M - 1\) != L - K"):
             build_ftable.__wrapped__(CHEBYSHEV)
 
-    @pytest.mark.parametrize("memo", [build_ftable, factorize, _hook_count, _dilation])
+    @pytest.mark.parametrize("memo", [build_ftable, factorize, _shape])
     def test_memo_is_bounded(self, memo):
         # bounded, and still large enough for all 850 survey pairs
         assert 850 <= memo.cache_info().maxsize < float("inf")
