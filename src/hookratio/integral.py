@@ -161,7 +161,11 @@ from .partition import (
 )
 from .primes import factorize, is_prime, next_prime_above
 from .ratio import (
-    InvariantError, RatioParams, _f_upto, _reciprocal_excess, _signed, build_ftable
+    InvariantError,
+    RatioParams,
+    _check_pieces,
+    _reciprocal_excess,
+    _signed,
 )
 
 if TYPE_CHECKING:
@@ -327,14 +331,38 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     least point with f(x) < 0 (x < M, as M is a period), diagonal x - 1
     has the drop f(x-1) - f(x) > 0 and the hit (0, x - 1), as f(0) +
     f(x-1) < f(x-1) - f(x), so the scan returns there or before. So a
-    diagonal whose drop is <= 0 holds no hit and is skipped. (a, s - a)
-    and (s - a, a) are conjugate hook shapes, with the same hooks and
+    diagonal whose drop is <= 0 holds no hit and is skipped: only the
+    diagonals y - 1 below a negative step g(y) = f(y) - f(y-1) < 0 are
+    read, for y up to 2M - 1, with the drop -g(y); there a = 0 hits
+    exactly when f(0) + f(y-1) < -g(y), that is f(y) < 0. (a, s - a) and
+    (s - a, a) are conjugate hook shapes, with the same hooks and
     signature: f(a) + f(s-a) is symmetric in a <-> s - a, and so is the
     a-range [max(0, s - M + 1), min(s, M - 1)] about s / 2, so the least
-    hit has a <= s // 2. f is built on [0, head] only, head the
-    largest entry (<= M), where nearly all first hits lie; a scan past head
-    reads the period table, doubled to hold f up to 2M - 1 >= a + l + 1.
-    Unbalanced parameters raise before any f is built, as f has no period.
+    hit has a <= s // 2. Unbalanced parameters raise first, as f has no
+    period.
+
+    f is held as its pieces, f = values[i] on [starts[i], starts[i + 1]). f
+    changes only at multiples of an entry, so the scan keeps the next
+    multiple of each distinct entry: y is the least of them, g(y) sums k_r
+    over the entries at y, and a step g(y) = 0 adds no piece. A diagonal at
+    or below head, the largest entry, is read as soon as the step above it
+    is listed, by a merge (`_least_arm`). As a grows by one, f(a) changes
+    only when a reaches the next start, and f(s - a) only when s - a leaves
+    its piece downward, at a = s + 1 - (the start of that piece). Between
+    two such points h(a) = f(a) + f(s - a) is constant, so on the a-range h
+    takes each of its values first at the range's least a or at one of those
+    points, and testing h there, in increasing order, finds the least a with
+    h(a) < drop. Each test passes one start of f(a) or one of f(s - a), so a
+    diagonal costs at most one test per piece of f on [0, min(s, M - 1)].
+
+    Nothing of size M or of size head is built. Once the steps up to head
+    hold no hit, the steps past it complete the pieces over one period [0,
+    M), which `ratio._check_pieces` checks as `build_ftable` checks its
+    table, before any diagonal past head is read. Past M, g has period M (an
+    entry divides y exactly when it divides y - M), so the step at M +
+    starts[i] is the step at starts[i] for i >= 1. The scan costs O(n) per
+    multiple of an entry up to the last step it reads, for n distinct
+    entries, and O(#pieces) per diagonal it reads.
 
     A least entry r that is a delta (k_r < 0) answers without any f. f = 0
     on [0, r), as no entry is below r, so every diagonal s < r - 1 has the
@@ -342,25 +370,83 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     > 0, as r is the only entry dividing r, and a = 0 gives f(0) + f(r-1)
     = 0 < drop: the first hit is (0, r - 1), the column 1^r. It lies in the
     grid, as r < M: the sides are disjoint, so some entry exceeds r, and M
-    is a multiple of it. An unbalanced pair takes no such answer and
-    raises in `_f_upto`.
+    is a multiple of it.
     """
-    least, k = min(params.signed)
-    if k < 0 and params.is_balanced:
+    if not params.is_balanced:
+        raise ValueError(
+            f"parameters {params} are not balanced; the period is undefined"
+        )
+    signed = params.signed
+    least, k = min(signed)
+    if k < 0:
         return (0, least - 1)
     M = params.modulus
-    head = max(params.signed)[0]  # the largest entry
-    f = _f_upto(params, head + 1)
-    for s in range(0, 2 * M - 1):
-        if s == head:
-            f = build_ftable(params).values * 2
-        drop = f[s] - f[s + 1]
-        if drop <= 0:
+    due = [r for r, _ in signed]  # the next multiple of each entry
+    head = max(due)
+    starts, values = [0], [0]
+    f = 0
+    first = 1  # the index of the first piece past head
+    while (y := min(due)) < M:
+        g = t = 0
+        for r, k in signed:
+            if due[t] == y:
+                g += k
+                due[t] = y + r
+            t += 1
+        if not g:
             continue
-        for a in range(max(0, s - M + 1), s // 2 + 1):
-            if f[a] + f[s - a] < drop:
-                return (a, s - a)
+        f += g
+        starts.append(y)
+        values.append(f)
+        if y <= head:
+            first += 1
+            if g < 0:
+                if f < 0:
+                    return (0, y - 1)
+                if found := _least_arm(starts, values, y - 1, -g, 0, len(starts) - 2):
+                    return found
+    _check_pieces(params, starts, values)
+    n = len(starts)
+    for i in range(first, n):
+        drop = values[i - 1] - values[i]
+        if drop > 0:
+            if found := _least_arm(starts, values, starts[i] - 1, drop, 0, i - 1):
+                return found
+    # the steps M + starts[i] of the second period; diagonal M + starts[i]
+    # - 1 starts at a = starts[i], where its leg M - 1 lies in the last
+    # piece, and M closes that piece. Diagonal M - 1, below the step at M,
+    # holds no hit: f(a) + f(M-1-a) = L - K = f(M-1) - f(M), its drop
+    starts.append(M)
+    for i in range(1, n):
+        drop = values[i - 1] - values[i]
+        if drop > 0:
+            if found := _least_arm(starts, values, M + starts[i] - 1, drop, i, n - 1):
+                return found
     return None
+
+
+def _least_arm(
+    starts: list[int], values: list[int], s: int, drop: int, i: int, j: int
+) -> tuple[int, int] | None:
+    """(a, s - a) for the least a in [starts[i], s // 2] with f(a) + f(s - a)
+    < drop, or None, where f = values[t] on [starts[t], starts[t + 1]), s -
+    starts[i] lies in piece j and some start exceeds s // 2: the merge of
+    `_hook_shape_scan`'s docstring, which moves i up at each start of f(a)
+    and j down at each start of f(s - a)."""
+    a, top = starts[i], s // 2
+    while values[i] + values[j] >= drop:
+        up, down = starts[i + 1], s + 1 - starts[j]
+        if up <= down:
+            a = up
+            i += 1
+            if up == down:
+                j -= 1
+        else:
+            a = down
+            j -= 1
+        if a > top:
+            return None
+    return (a, s - a)
 
 
 def _core_counts(M: int, limit: int) -> list[int]:
@@ -425,17 +511,33 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
     is counted as that leaf at once, and a leaf is exactly such a prefix
     with no coordinate left. The core count check below still sees every
     leaf once.
+
+    The walk holds the at most 2 * limit live coordinates and, for each
+    entry r, the r-charges at the residues mod r that they touch, as no
+    other one moves: nothing of size M, so a walk at any M costs what its
+    limit makes it cost. Only the assembly of a failing core reads all M
+    charges.
     """
     M, slope = params.modulus, params.excess
     top = 2 * limit
-    live = [j for j in range(M) if j < limit or j >= M - limit]
-    terms = [(-k * (M // r), r, [0] * r) for r, k in params.signed if r > 1]
-    # live coordinate j moves residue j mod r of each r-charge vector
-    updates = [[(w, r, j % r, S) for w, r, S in terms] for j in live]
+    live = [*range(min(limit, M)), *range(max(limit, M - limit), M)]
+    # live coordinate j moves the r-charge S_a, a = j mod r, of each entry
+    # r > 1, and c_j += x adds w (r (2 S_a + x) x + 2 a x) to 2M sig, w =
+    # -k_r M / r (fact 3): updates[i] holds (w r, 2 w a, q, S) for j =
+    # live[i], with S_a at S[q]
+    updates: list[list[tuple[int, int, int, list[int]]]] = [[] for _ in live]
+    for r, k in params.signed:
+        if r > 1:
+            w = -k * (M // r)
+            residues = [j % r for j in live]
+            index = {a: q for q, a in enumerate(dict.fromkeys(residues))}
+            S = [0] * len(index)
+            for u, a in zip(updates, residues):
+                u.append((w * r, 2 * w * a, index[a], S))
     rest = _rest_costs(M, live, top)
     zero_rest = _zero_rest(M, live, top)
-    # c is 0 on every coordinate from live[i] on whenever visit(i) starts
-    c = [0] * M
+    # c[i] is the charge of live[i], 0 from i on whenever visit(i) starts
+    c = [0] * len(live)
     visited = [0] * (limit + 1)
     budget = top
     failing: list[tuple[int, ...]] = []
@@ -461,16 +563,16 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
             while (t := cost + M * x * x + lin * x) <= budget:
                 if t + below[top - s - x] <= budget:
                     d = 0
-                    for w, r, a, S in updates[i]:
-                        v = S[a]
-                        d += w * (r * (2 * v + x) * x + 2 * a * x)
-                        S[a] = v + x
-                    c[j] = x
+                    for wr, wa, q, S in updates[i]:
+                        v = S[q]
+                        d += (wr * (2 * v + x) + wa) * x
+                        S[q] = v + x
+                    c[i] = x
                     visit(i + 1, s + x, t, sig + d)
-                    for w, r, a, S in updates[i]:
-                        S[a] -= x
+                    for _, _, q, S in updates[i]:
+                        S[q] -= x
                 x += step
-        c[j] = 0
+        c[i] = 0
 
     visit(0, 0, 0, 0)
     reached = budget // 2
@@ -479,7 +581,14 @@ def _least_failing_core(params: RatioParams, limit: int) -> Partition | None:
             f"the {M}-core walk for {params} visited {visited[: reached + 1]} "
             f"cores by size, expected {_core_counts(M, reached)}"
         )
-    return min((_assemble([EMPTY] * M, v, M) for v in failing), default=None)
+    cores = []
+    for v in failing:
+        # the assembly reads all M charges, 0 off the live coordinates
+        charges = [0] * M
+        for j, x in zip(live, v):
+            charges[j] = x
+        cores.append(_assemble([EMPTY] * M, charges, M))
+    return min(cores, default=None)
 
 
 def _least_failing_mu(params: RatioParams, size_bound: int) -> Partition | None:

@@ -8,9 +8,10 @@ agree) f has least period exactly the lcm M of all entries (proved at
 :func:`build_ftable`), and one period of values decides one-row
 integrality (the classical criterion). The period table is built from g:
 f changes only at multiples of an entry, so it is one pass over those
-multiples and one running sum. All breakpoints of f are integers, so every
-statement made "for small enough epsilon" is evaluated here at integer
-arguments only.
+multiples and one running sum; the hook-shape scan walks the same
+multiples one at a time and holds f as its pieces. All breakpoints of
+f are integers, so every statement made "for small enough epsilon" is
+evaluated here at integer arguments only.
 """
 
 from __future__ import annotations
@@ -187,9 +188,36 @@ def _f_upto(params: RatioParams, n: int) -> tuple[int, ...]:
     return tuple(accumulate(steps))
 
 
-# Bounded, so a long run cannot grow it without limit: `decide` builds a
-# table only when its hook scan passes the prefix of f, for 12 of the 850
-# survey pairs. It stays an lru_cache: bench/child.py reads its cache_info().
+def _check_pieces(params: RatioParams, starts: list[int], values: list[int]) -> None:
+    """Check f over one period held as pieces, f = values[i] on [starts[i],
+    starts[i + 1]) with starts[0] = 0 and the last piece ending at M, against
+    the identities that `build_ftable` checks on the table, in O(#pieces)
+    and with the same messages.
+
+    f(x) + f(M-1-x) = L - K for every x holds exactly when the reflection
+    x -> M-1-x, which maps the piece [starts[i], starts[i+1]) onto
+    [M - starts[i+1], M - starts[i]), maps piece i onto piece n-1-i (so
+    starts[i] + starts[n-i] = M for 0 < i < n) with values[i] +
+    values[n-1-i] = L - K: these suffice, and as neighbouring pieces differ
+    in value (a step of f is never 0), f and L - K - f(M-1-x) have the same
+    breakpoints, so they are also needed.
+    """
+    M, height = params.modulus, params.height
+    inner = starts[1:]
+    if not (
+        all(map(eq, map(add, inner, reversed(inner)), repeat(M)))
+        and all(map(eq, map(add, values, reversed(values)), repeat(height)))
+    ):
+        raise InvariantError(f"reflection identity fails for {params}")
+    if values[-1] != height:
+        raise InvariantError(f"f(M - 1) != L - K for {params}")
+
+
+# Bounded, so a long run cannot grow it without limit. `decide` builds no
+# table; the `height1` verb reads the same one three times (the one-row
+# step of `decide_height1`, the CLI's gate on min f and `period_sets`), and
+# `f-table` once. It stays an lru_cache: bench/child.py reads its
+# cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
     """Tabulate f over [0, M), which is one least period of f, by

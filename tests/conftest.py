@@ -438,6 +438,12 @@ def survey_grid():
     return balanced_parameter_grid(max_entry=12)
 
 
+@pytest.fixture(scope="session")
+def census_grid():
+    """The 12,324 balanced pairs with entries <= 24 and 1 to 4 per side."""
+    return balanced_parameter_grid(max_entry=24, max_len=4)
+
+
 def all_partitions_through(partitions_by_size, n):
     for k in range(n + 1):
         yield from partitions_by_size[k]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import hookratio.integral as integral_module
-from hookratio import cli
+from hookratio import build_ftable, cli
 from hookratio.cli import run
 
 from conftest import source_env
@@ -393,6 +393,18 @@ class TestHeight1Verb:
         )
         assert (code, out) == (64, "")
         assert err == "hookratio: error: period sets broke\n"
+
+    def test_reads_one_period_table(self, capsys):
+        # the one-row step of decide_height1, the gate on min f and
+        # period_sets read the same table, and decide reads none: the memo
+        # misses once and hits twice. The first hit of the pair's scan,
+        # (10, 25), lies past its largest entry 30
+        build_ftable.cache_clear()
+        code, _, _ = invoke(
+            capsys, "height1", "--gamma", "30,1", "--delta", "2,3,5", "--json"
+        )
+        info = build_ftable.cache_info()
+        assert code == 1 and (info.misses, info.hits) == (1, 2)
 
     def test_wrong_height_is_input_error(self, capsys):
         code, _, err = invoke(

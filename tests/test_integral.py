@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hookratio.integral as integral_module
 import hookratio.littlewood as littlewood_module
 import hookratio.partition as partition_module
+import hookratio.ratio as ratio_module
 from hookratio import (
     STATUS_FAILS,
     STATUS_INTEGRAL,
@@ -55,6 +56,7 @@ from conftest import (
     oracle_rest_costs,
     oracle_whitelist,
     oracle_zero_rest,
+    random_balanced_pairs,
     signature_from_charges,
     source_env,
     unbalanced_parameter_grid,
@@ -230,8 +232,21 @@ class TestCountsSignature:
                 assert counts_signature(lam, params) == expected, (lam, params)
 
 
+def _refuse_f(monkeypatch):
+    """Make both builders of f raise: the prefix `_f_upto` and the period
+    table `build_ftable`, in ratio, where they live, and in integral, should
+    it hold them by name."""
+
+    def refuse(*args):
+        raise AssertionError("f was built")
+
+    for module in (ratio_module, integral_module):
+        for name in ("_f_upto", "build_ftable"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 class TestHookShapeScan:
-    """The scan over a doubled period against the scan through FTable.f."""
+    """The scan along the steps of f against the scan through FTable.f."""
 
     @staticmethod
     def _assert_matches_oracle(pairs):
@@ -250,17 +265,25 @@ class TestHookShapeScan:
     def test_matches_oracle_on_witness_ladder(self):
         assert self._assert_matches_oracle(WITNESS_LADDER) == 5
 
+    def test_matches_oracle_on_census_and_random_pairs(self, census_grid):
+        # 159 census pairs have no hit, and 62 first hit on a diagonal at
+        # or past their largest entry, 20 of them past M, where the scan
+        # reads the second period; the random pairs reach M = 2,990
+        assert self._assert_matches_oracle(census_grid) == 12_324 - 159
+        pairs = random_balanced_pairs(random.Random(33), 100, 3_000)
+        assert self._assert_matches_oracle(pairs) == 100
+
     @pytest.mark.parametrize(
         "gammas, deltas, reads",
-        # the hit (1, 7) lies on diagonal 8, the last below the largest
-        # entry 9, so f is read from its prefix alone and no table is built
-        # or looked up; the hit (6, 9) lies on diagonal 15, past the largest
-        # entry 12, and the scan reads the table once. The head is the
-        # largest entry wherever it stands: 9 in the last pair, not its
-        # last delta 6
+        # no table is built or looked up, wherever the first hit lies: the
+        # hit (1, 7) lies on diagonal 8, the last below the largest entry
+        # 9, and the hit (6, 9) on diagonal 15, past the largest entry 12,
+        # where the scan checks its pieces over the period instead. The
+        # head is the largest entry wherever it stands: 9 in the last pair,
+        # not its last delta 6
         [
             ((2,), (6, 9, 9, 9), 0),
-            ((1, 12), (2, 3, 8, 8), 1),
+            ((1, 12), (2, 3, 8, 8), 0),
             ((2,), (9, 9, 6, 9), 0),
         ],
     )
@@ -278,16 +301,12 @@ class TestHookShapeScan:
         # a least entry r that is a delta fails at the column 1^r, the
         # scan's first hit (0, r - 1), and the flow rejects the pair: no
         # prefix of f and no period table is built for it
-        def refuse(*args):
-            raise AssertionError("f was built")
-
         pairs = [
             p for p in balanced_grid + survey_grid if min(p.signed)[1] < 0
         ]
         expected = [(p, oracle_hook_shape_scan(p)) for p in pairs]
         assert len(pairs) == 83 + 425
-        monkeypatch.setattr(integral_module, "_f_upto", refuse)
-        monkeypatch.setattr(integral_module, "build_ftable", refuse)
+        _refuse_f(monkeypatch)
         for params, oracle in expected:
             r = min(params.signed)[0]
             assert integral_module._hook_shape_scan(params) == oracle == (0, r - 1)
@@ -298,6 +317,68 @@ class TestHookShapeScan:
         params = RatioParams((3660,), (7260, 7381))
         assert params.modulus == 442_860
         assert integral_module._hook_shape_scan(params) == (3600, 3659)
+
+    @pytest.mark.parametrize(
+        "gammas, deltas, modulus, hit",
+        # f on [0, head] would hold 3.2 * 10^7 and 2.0 * 10^6 values; the
+        # scan reads two steps of f, +1 at the gamma and -1 at the hit's
+        # delta
+        [
+            ((15_999_999,), (31_992_000, 32_008_000), 127_999_992_000,
+             (15_992_001, 15_999_998)),
+            ((999_000,), (1_997_001, 1_999_000), 1_997_001_000,
+             (998_001, 998_999)),
+        ],
+    )
+    def test_builds_no_f_at_large_m(self, monkeypatch, gammas, deltas, modulus, hit):
+        params = RatioParams(gammas, deltas)
+        assert params.modulus == modulus
+        _refuse_f(monkeypatch)
+        assert integral_module._hook_shape_scan(params) == hit
+
+    def test_decide_builds_no_f(self, monkeypatch, balanced_grid, survey_grid):
+        pairs = balanced_grid + survey_grid
+        expected = [decide(params, 16) for params in pairs]
+        _refuse_f(monkeypatch)
+        assert [decide(params, 16) for params in pairs] == expected
+
+    # the weight of the entry 12 read as 2, not 1, adds floor(x / 12) to f
+    # and breaks the reflection identity. The first hit of the pair lies on
+    # diagonal 15, past its largest entry 12, so the scan checks its pieces
+    # over the period before it reads any diagonal past 12, and builds no
+    # table to check
+    CORRUPTED = ((1, 1), (12, 2), (2, -1), (3, -1), (8, -2))
+
+    def test_corrupted_pieces_are_caught(self, monkeypatch):
+        params = RatioParams((1, 12), (2, 3, 8, 8))
+        object.__setattr__(params, "signed", self.CORRUPTED)
+        _refuse_f(monkeypatch)
+        message = r"^reflection identity fails for \(\(1,12\),\(2,3,8,8\)\)$"
+        with pytest.raises(InvariantError, match=message):
+            integral_module._hook_shape_scan(params)
+
+    def test_corrupted_pieces_are_caught_under_optimize_flag(self):
+        script = (
+            "import hookratio.integral as integral, hookratio.ratio as ratio\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('f was built')\n"
+            "for module in (ratio, integral):\n"
+            "    module._f_upto = module.build_ftable = refuse\n"
+            "params = integral.RatioParams((1, 12), (2, 3, 8, 8))\n"
+            f"object.__setattr__(params, 'signed', {self.CORRUPTED!r})\n"
+            "try:\n"
+            "    integral._hook_shape_scan(params)\n"
+            "except integral.InvariantError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "raised reflection identity fails for ((1,12),(2,3,8,8))\n"
+        )
 
 
 class TestFindFailingMu:
@@ -442,6 +523,18 @@ class TestCoreSearch:
         assert integral_module._least_failing_mu(
             RatioParams((1, 6), (2, 3, 4, 12)), 16
         ) == parse_partition("4,4,1^4")
+
+    def test_walks_in_the_limit_not_in_m(self):
+        # M = 3 * 10^10: the walk holds the 2 * limit live coordinates and
+        # the residues of each entry that they touch, nothing of size M. No
+        # hook shape fails and nothing of size <= 20 does either
+        params = RatioParams(
+            (2 * 10**9, 3 * 10**9),
+            (5 * 10**9, 6 * 10**9, 6 * 10**9, 10**10, 10**10, 10**10),
+        )
+        assert params.modulus == 3 * 10**10
+        assert decide(params, 20).status == STATUS_UNKNOWN
+        assert integral_module._least_failing_core(params, 20) is None
 
     def test_count_mismatch_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr(
@@ -642,10 +735,10 @@ class TestDivisibilityFlow:
         assert integral_module._certified_by_flow(params)
         assert decide(params, 8).status == STATUS_INTEGRAL
 
-    def test_matches_gale_condition(self, survey_grid):
-        # the census of entries <= 24 and 1 to 4 per side, and the survey
-        census = balanced_parameter_grid(max_entry=24, max_len=4)
-        for pairs, expected, by_network in ((census, 135, 53), (survey_grid, 47, 13)):
+    def test_matches_gale_condition(self, census_grid, survey_grid):
+        for pairs, expected, by_network in (
+            (census_grid, 135, 53), (survey_grid, 47, 13)
+        ):
             certified = [p for p in pairs if integral_module._certified_by_flow(p)]
             assert certified == [p for p in pairs if oracle_flow_certified(p)]
             assert len(certified) == expected

@@ -23,6 +23,7 @@ from hookratio import (
 from hookratio.integral import _dilation
 from hookratio.littlewood import _hook_count, _shape
 from hookratio.primes import factorize
+from hookratio.ratio import _check_pieces
 
 from conftest import (
     WITNESS_LADDER,
@@ -265,7 +266,7 @@ class TestFTable:
         with pytest.raises(ValueError):
             build_ftable(RatioParams((2,), (3,)))
 
-    def test_period_is_minimal(self):
+    def test_period_is_minimal(self, census_grid):
         # the theorem at build_ftable: the least period of f is exactly M.
         # The periods dividing M are closed under gcd, so it is enough that
         # M / q is no period for any prime q of M. Checked on two censuses,
@@ -274,7 +275,7 @@ class TestFTable:
         # the survey), on the witness ladder and on random pairs of large M;
         # the oracle tests below find the same by their every-divisor scan
         pairs = (
-            balanced_parameter_grid(max_entry=24, max_len=4)
+            census_grid
             + balanced_parameter_grid(max_entry=12, max_len=6)
             + list(WITNESS_LADDER)
             + random_balanced_pairs(random.Random(12), 12, 100_000)
@@ -344,6 +345,25 @@ class TestFTable:
         self._corrupt_prefix_sums(monkeypatch, {0: -1, 29: 1})
         with pytest.raises(InvariantError, match=r"f\(M - 1\) != L - K"):
             build_ftable.__wrapped__(CHEBYSHEV)
+
+    def test_pieces_check_catches_what_the_table_check_catches(self):
+        # f held as pieces, f = values[i] on [starts[i], starts[i + 1]), as
+        # the hook-shape scan holds it over one period
+        starts = [
+            x for x in range(30) if x == 0 or PAPER_ROW[x] != PAPER_ROW[x - 1]
+        ]
+        values = [PAPER_ROW[x] for x in starts]
+        _check_pieces(CHEBYSHEV, starts, values)
+        moved = [starts[0], starts[1] + 1] + starts[2:]
+        raised = [values[0], values[1] + 1] + values[2:]
+        for pieces in ((starts, raised), (moved, values)):
+            with pytest.raises(InvariantError, match="reflection identity"):
+                _check_pieces(CHEBYSHEV, *pieces)
+        # f(0) - 1 and f(M - 1) + 1 keep every reflected pair summing to
+        # L - K, so only the corner check can see it
+        corner = [values[0] - 1] + values[1:-1] + [values[-1] + 1]
+        with pytest.raises(InvariantError, match=r"f\(M - 1\) != L - K"):
+            _check_pieces(CHEBYSHEV, starts, corner)
 
     @pytest.mark.parametrize("memo", [build_ftable, factorize, _hook_count, _dilation])
     def test_memo_is_bounded(self, memo):
