@@ -49,6 +49,7 @@ from .ratio import (
     RatioParams,
     bober_families,
     build_ftable,
+    landau_one_row_check,
     phi_bijection,
 )
 
@@ -330,7 +331,7 @@ def _cmd_height1(args) -> _Result:
     params = _params_arg(args)
     verdict = decide_height1(params)
     # the level sets are undefined where the one-row check fails
-    sets = period_sets(params) if build_ftable(params).min >= 0 else None
+    sets = period_sets(params) if landau_one_row_check(params) else None
     witness = None if verdict.witness is None else verdict.witness.to_json_dict()
     payload = dict.fromkeys(("P", "A0", "A1", "Y", "sumset_missing"))
     if sets is not None:

@@ -165,6 +165,7 @@ from .ratio import (
     RatioParams,
     _check_pieces,
     _reciprocal_excess,
+    _require_balance,
     _signed,
 )
 
@@ -363,23 +364,9 @@ def _hook_shape_scan(params: RatioParams) -> tuple[int, int] | None:
     starts[i] is the step at starts[i] for i >= 1. The scan costs O(n) per
     multiple of an entry up to the last step it reads, for n distinct
     entries, and O(#pieces) per diagonal it reads.
-
-    A least entry r that is a delta (k_r < 0) answers without any f. f = 0
-    on [0, r), as no entry is below r, so every diagonal s < r - 1 has the
-    drop 0 and is skipped. Diagonal r - 1 has the drop f(r-1) - f(r) = -k_r
-    > 0, as r is the only entry dividing r, and a = 0 gives f(0) + f(r-1)
-    = 0 < drop: the first hit is (0, r - 1), the column 1^r. It lies in the
-    grid, as r < M: the sides are disjoint, so some entry exceeds r, and M
-    is a multiple of it.
     """
-    if not params.is_balanced:
-        raise ValueError(
-            f"parameters {params} are not balanced; the period is undefined"
-        )
+    _require_balance(params)
     signed = params.signed
-    least, k = min(signed)
-    if k < 0:
-        return (0, least - 1)
     M = params.modulus
     due = [r for r, _ in signed]  # the next multiple of each entry
     head = max(due)
@@ -788,12 +775,9 @@ def _certified_by_flow(params: RatioParams) -> bool:
 
     The two rules of fact 7 reject a pair from its entries, before any
     map is built: a delta that no gamma divides, and, under balance, a
-    gamma that divides no delta. A least entry that is a delta is the
-    first such delta, as every gamma is larger, and is read off first.
+    gamma that divides no delta.
     """
     signed = params.signed
-    if min(signed)[1] < 0:
-        return False
     gammas = [r for r, k in signed if k > 0]
     deltas = [r for r, k in signed if k < 0]
     for d in deltas:
@@ -891,7 +875,7 @@ def _verified_fails(params: RatioParams, mu: Partition, bound: int | None) -> Ve
     p, lam_rec, witness = rec.dilation or _dilation(rec, mu)
     vp = _valuation(lam_rec, params.signed, p)
     expected = p * sig
-    if vp != expected or vp >= 0:
+    if vp != expected:
         raise InvariantError(
             f"witness {format_partition(mu) or '()'} at p = {p} has valuation {vp}, "
             f"expected {expected} < 0"
@@ -908,11 +892,23 @@ def decide(params: RatioParams, size_bound: int) -> Verdict:
     shapes over the full period grid first, then every partition up to the
     size bound, through its M-core), and Unknown-UpToBound otherwise: a
     clean search is not a proof.
+
+    A least entry r that is a delta (k_r < 0) fails at the column 1^r, the
+    hook-shape scan's first hit, before the flow runs. f = 0 on [0, r), as
+    no entry is below r, so the diagonals below r - 1 have the drop 0.
+    Diagonal r - 1 has the drop f(r-1) - f(r) = -k_r > 0, as r is the only
+    entry dividing r, and hits at a = 0, where f(0) + f(r-1) = 0. It lies in
+    the grid, as r < M: the sides are disjoint, so some entry exceeds r. And
+    no gamma divides r, as every gamma exceeds r, so the flow (fact 7)
+    cannot certify the pair.
     """
     if not params.is_balanced:
         raise ValueError(f"parameters {params} are not balanced")
     if size_bound < 0:
         raise ValueError("size bound must be nonnegative")
+    least, k = min(params.signed)
+    if k < 0:
+        return _verified_fails(params, construct_hook_partition(0, least - 1), size_bound)
     if _certified_by_flow(params):
         # a certified pair is never searched, so it carries no bound
         return Verdict(params, STATUS_INTEGRAL)

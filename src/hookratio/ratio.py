@@ -174,18 +174,12 @@ class FTable(NamedTuple):
         }
 
 
-def _f_upto(params: RatioParams, n: int) -> tuple[int, ...]:
-    """f on [0, n) for balanced parameters, as the prefix sums of its steps
-    g(y) = sum k_r [r | y]: each distinct entry r adds k_r at the multiples
-    of r in one slice pass, so this costs O(n + sum n / r)."""
+def _require_balance(params: RatioParams) -> None:
+    """Raise for unbalanced parameters: f is unbounded and has no period."""
     if not params.is_balanced:
         raise ValueError(
             f"parameters {params} are not balanced; the period is undefined"
         )
-    steps = [0] * n  # g(y) at y in [1, n); f(0) = 0
-    for r, k in params.signed:
-        steps[r::r] = map(add, steps[r::r], repeat(k))
-    return tuple(accumulate(steps))
 
 
 def _check_pieces(params: RatioParams, starts: list[int], values: list[int]) -> None:
@@ -220,8 +214,10 @@ def _check_pieces(params: RatioParams, starts: list[int], values: list[int]) -> 
 # cache_info().
 @lru_cache(maxsize=4096)
 def build_ftable(params: RatioParams) -> FTable:
-    """Tabulate f over [0, M), which is one least period of f, by
-    `_f_upto`, in O(M + sum M / r).
+    """Tabulate f over [0, M), which is one least period of f, in O(M +
+    sum M / r): f is the prefix sums of its steps g(y) = sum k_r [r | y],
+    and each distinct entry r adds k_r at the multiples of r in one slice
+    pass.
 
     Balance makes M a period: f(x + M) - f(x) = sum M/gamma - sum M/delta.
     No P | M below it is one. k_r = #{gamma = r} - #{delta = r} is nonzero
@@ -240,8 +236,12 @@ def build_ftable(params: RatioParams) -> FTable:
     period. The reflection identity f(x) + f(M-1-x) = L - K and its corner
     case f(M-1) = L - K hold for every balanced pair and are checked here.
     """
+    _require_balance(params)
     M = params.modulus
-    values = _f_upto(params, M)
+    steps = [0] * M  # g(y) at y in [1, M); f(0) = 0
+    for r, k in params.signed:
+        steps[r::r] = map(add, steps[r::r], repeat(k))
+    values = tuple(accumulate(steps))
     height = params.height
     if not all(map(eq, map(add, values, reversed(values)), repeat(height))):
         raise InvariantError(f"reflection identity fails for {params}")

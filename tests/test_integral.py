@@ -233,16 +233,14 @@ class TestCountsSignature:
 
 
 def _refuse_f(monkeypatch):
-    """Make both builders of f raise: the prefix `_f_upto` and the period
-    table `build_ftable`, in ratio, where they live, and in integral, should
-    it hold them by name."""
+    """Make the builder of f, the period table `build_ftable`, raise in
+    ratio, where it lives, and in integral, should it hold it by name."""
 
     def refuse(*args):
         raise AssertionError("f was built")
 
     for module in (ratio_module, integral_module):
-        for name in ("_f_upto", "build_ftable"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(module, "build_ftable", refuse, raising=False)
 
 
 class TestHookShapeScan:
@@ -300,18 +298,31 @@ class TestHookShapeScan:
     ):
         # a least entry r that is a delta fails at the column 1^r, the
         # scan's first hit (0, r - 1), and the flow rejects the pair: no
-        # prefix of f and no period table is built for it
+        # period table is built for it. decide answers such a pair itself,
+        # before the flow or the scan runs
         pairs = [
             p for p in balanced_grid + survey_grid if min(p.signed)[1] < 0
         ]
-        expected = [(p, oracle_hook_shape_scan(p)) for p in pairs]
+        expected = [
+            (p, min(p.signed)[0], oracle_hook_shape_scan(p), oracle_flow_certified(p))
+            for p in pairs
+        ]
         assert len(pairs) == 83 + 425
+        scan, flow = integral_module._hook_shape_scan, integral_module._certified_by_flow
         _refuse_f(monkeypatch)
-        for params, oracle in expected:
-            r = min(params.signed)[0]
-            assert integral_module._hook_shape_scan(params) == oracle == (0, r - 1)
-            assert not integral_module._certified_by_flow(params), params
-            assert decide(params, 16).witness.mu == Partition((1,) * r), params
+        for params, r, oracle, certified in expected:
+            assert scan(params) == oracle == (0, r - 1)
+            assert flow(params) is certified is False, params
+
+        def refuse(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(integral_module, "_hook_shape_scan", refuse)
+        monkeypatch.setattr(integral_module, "_certified_by_flow", refuse)
+        for params, r, _, _ in expected:
+            verdict = decide(params, 16)
+            assert verdict.status == STATUS_FAILS, params
+            assert verdict.witness.mu == Partition((1,) * r), params
 
     def test_hit_at_m_442860(self):
         params = RatioParams((3660,), (7260, 7381))
@@ -363,7 +374,7 @@ class TestHookShapeScan:
             "def refuse(*args):\n"
             "    raise AssertionError('f was built')\n"
             "for module in (ratio, integral):\n"
-            "    module._f_upto = module.build_ftable = refuse\n"
+            "    module.build_ftable = refuse\n"
             "params = integral.RatioParams((1, 12), (2, 3, 8, 8))\n"
             f"object.__setattr__(params, 'signed', {self.CORRUPTED!r})\n"
             "try:\n"
@@ -417,7 +428,7 @@ class TestFindFailingMu:
             )
 
     def test_hooks_only_needs_balance(self):
-        # the scan checks balance before it builds its prefix of f, on which
+        # the scan checks balance before it walks the steps of f, on which
         # an unbalanced pair could otherwise report a hit
         message = (
             r"^parameters \(\(2\),\(3\)\) are not balanced; "
@@ -427,8 +438,8 @@ class TestFindFailingMu:
             find_failing_mu(RatioParams((2,), (3,)), 5, hooks_only=True)
 
     def test_hooks_only_needs_balance_with_a_least_delta(self):
-        # the column answer for a least delta is given only after the
-        # balance check
+        # the scan's first step answers a least delta with the column, but
+        # only after the balance check
         message = (
             r"^parameters \(\(3\),\(2\)\) are not balanced; "
             r"the period is undefined$"
